@@ -9,7 +9,6 @@ import (
 	"marchgen/fault"
 	"marchgen/internal/budget"
 	"marchgen/internal/core"
-	"marchgen/internal/gts"
 	"marchgen/internal/memo"
 	"marchgen/internal/obs"
 	"marchgen/march"
@@ -45,9 +44,10 @@ func WithoutEquivalence() Option {
 	return func(o *core.Options) { o.DisableEquivalence = true }
 }
 
-// WithBeamWidth widens or narrows the rewrite engine's beam (default 48).
+// WithBeamWidth widens or narrows the rewrite engine's beam (default 48;
+// 0 selects the default, a negative n is rejected with ErrUsage).
 func WithBeamWidth(n int) Option {
-	return func(o *core.Options) { o.Beam = gts.Options{BeamWidth: n, MaxCandidates: o.Beam.MaxCandidates} }
+	return func(o *core.Options) { o.Beam.BeamWidth = n }
 }
 
 // Solver modes for WithSolverMode. The generated test and every statistic

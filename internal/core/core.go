@@ -184,6 +184,10 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	if opts.SelectionLimit <= 0 {
 		opts.SelectionLimit = 64
 	}
+	if opts.Beam.BeamWidth < 0 {
+		return nil, fmt.Errorf("core: negative beam width %d: %w", opts.Beam.BeamWidth, budget.ErrUsage)
+	}
+	opts.Beam = opts.Beam.WithDefaults()
 	if err := opts.Budget.Validate(); err != nil {
 		return nil, err
 	}

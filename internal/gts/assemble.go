@@ -2,7 +2,7 @@ package gts
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"marchgen/fsm"
 	"marchgen/internal/budget"
@@ -22,7 +22,8 @@ func DefaultOptions() Options { return Options{BeamWidth: 48, MaxCandidates: 12}
 
 // state is a partial March construction: a list of elements of which the
 // last one is still open for appends, plus the uniform memory value before
-// (pre) and after (end) the open element's operations.
+// (pre) and after (end) the open element's operations. Closed elements
+// (all but the last) are never mutated, so clones share them.
 type state struct {
 	elems    []march.Element
 	pre, end march.Bit
@@ -33,30 +34,31 @@ type state struct {
 	// element instead of growing it.
 	locked bool
 	cost   int
+	// snap is the coverage oracle's lane snapshot of a prefix of the
+	// closed elements (see oracle.advance).
+	snap *snapshot
 }
 
+// clone returns a copy of the state that shares the closed elements and
+// owns a private copy of the open one, so appending to or mutating the
+// clone never changes st.
 func (st *state) clone() *state {
 	c := *st
-	c.elems = make([]march.Element, len(st.elems))
-	for k, e := range st.elems {
-		c.elems[k] = march.Element{Order: e.Order, Delay: e.Delay, Ops: append([]march.Op(nil), e.Ops...)}
+	n := len(st.elems)
+	c.elems = append([]march.Element(nil), st.elems...)
+	if n > 0 {
+		c.elems[n-1].Ops = append([]march.Op(nil), st.elems[n-1].Ops...)
 	}
 	return &c
 }
 
-// key is the beam deduplication signature: a fixed-width binary packing
-// of the construction. Each element contributes a header byte with the
-// high bit set (order and delay in the low bits) followed by one byte per
-// op (kind and data in the low bits, high bit clear, so headers
-// self-delimit); a trailing 0xFF marks a pending observation. This packs
-// the same information as the former element-String concatenation at a
-// fraction of the bytes and without the formatter in the beam's hot loop.
-func (st *state) key() string {
-	n := 1 + len(st.elems)
-	for _, e := range st.elems {
-		n += len(e.Ops)
-	}
-	buf := make([]byte, 0, n)
+// appendKey appends the beam deduplication signature to buf: a
+// fixed-width binary packing of the construction. Each element
+// contributes a header byte with the high bit set (order and delay in the
+// low bits) followed by one byte per op (kind and data in the low bits,
+// high bit clear, so headers self-delimit); a trailing 0xFF marks a
+// pending observation.
+func (st *state) appendKey(buf []byte) []byte {
 	for _, e := range st.elems {
 		h := byte(0x80) | byte(e.Order)<<1
 		if e.Delay {
@@ -70,17 +72,21 @@ func (st *state) key() string {
 	if st.needRead {
 		buf = append(buf, 0xFF)
 	}
-	return string(buf)
+	return buf
 }
 
-// closed finalises the construction: pending excitations get their
-// observing read as a trailing ⇕(r) element.
+// closed finalises the construction into a March test that shares no
+// memory with the state: pending excitations get their observing read as
+// a trailing ⇕(r) element.
 func (st *state) closed() *march.Test {
-	c := st.clone()
-	if c.needRead && c.end.Known() {
-		c.elems = append(c.elems, march.Elem(march.Any, march.Op{Kind: march.Read, Data: c.end}))
+	elems := make([]march.Element, len(st.elems), len(st.elems)+1)
+	for k, e := range st.elems {
+		elems[k] = march.Element{Order: e.Order, Delay: e.Delay, Ops: append([]march.Op(nil), e.Ops...)}
 	}
-	return &march.Test{Elements: c.elems}
+	if st.needRead && st.end.Known() {
+		elems = append(elems, march.Elem(march.Any, march.Op{Kind: march.Read, Data: st.end}))
+	}
+	return &march.Test{Elements: elems}
 }
 
 // appendOp appends an operation to the open element (creating the initial
@@ -97,7 +103,7 @@ func (st *state) appendOp(op march.Op) bool {
 		if op.IsRead() {
 			return false
 		}
-		st.elems = append(st.elems, march.Elem(march.Any))
+		st.elems = append(st.elems, march.Element{Order: march.Any, Ops: newOps()})
 		st.pre, st.end, st.leadRead = march.X, march.X, false
 	}
 	last := &st.elems[len(st.elems)-1]
@@ -111,6 +117,10 @@ func (st *state) appendOp(op march.Op) bool {
 	st.cost++
 	return true
 }
+
+// newOps returns an empty op list for a new element, with room for the
+// few operations a template appends to it.
+func newOps() []march.Op { return make([]march.Op, 0, 4) }
 
 // drive makes the open element's chain value equal v (appending a write if
 // needed). It reports failure only when v is unknown.
@@ -128,7 +138,7 @@ func (st *state) open(dir march.Order) bool {
 	if !st.end.Known() || len(st.elems) == 0 {
 		return false
 	}
-	st.elems = append(st.elems, march.Elem(dir, march.Op{Kind: march.Read, Data: st.end}))
+	st.elems = append(st.elems, march.Element{Order: dir, Ops: append(newOps(), march.Op{Kind: march.Read, Data: st.end})})
 	st.pre = st.end
 	st.leadRead = true
 	st.needRead = false
@@ -160,6 +170,27 @@ func (st *state) delay() bool {
 	return true
 }
 
+// deferRead leaves the open element's excitation to be observed by a
+// future leading read, locking the element so later appends cannot
+// overwrite the pending corruption first.
+func (st *state) deferRead() bool {
+	st.needRead, st.locked = true, true
+	return true
+}
+
+// WithDefaults fills every non-positive field from DefaultOptions, field
+// by field.
+func (o Options) WithDefaults() Options {
+	def := DefaultOptions()
+	if o.BeamWidth <= 0 {
+		o.BeamWidth = def.BeamWidth
+	}
+	if o.MaxCandidates <= 0 {
+		o.MaxCandidates = def.MaxCandidates
+	}
+	return o
+}
+
 // Assemble converts the ordered test patterns of an optimal TPG visit into
 // candidate March tests, cheapest first. Every returned test realises all
 // patterns structurally; the caller must still validate fault coverage
@@ -170,10 +201,12 @@ func Assemble(patterns []fsm.Pattern, opts Options) ([]*march.Test, error) {
 
 // AssembleMeter is Assemble under a budget meter: the beam aborts with a
 // typed error when the caller's context is canceled (nil meter: unbounded).
+// Non-positive option fields take their defaults (Options.WithDefaults).
 func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options) ([]*march.Test, error) {
-	if opts.BeamWidth <= 0 {
-		opts = DefaultOptions()
+	if len(patterns) == 0 {
+		return nil, fmt.Errorf("gts: no patterns to assemble")
 	}
+	opts = opts.WithDefaults()
 	shapes := make([]shape, len(patterns))
 	for k, p := range patterns {
 		s, err := normalise(p)
@@ -182,23 +215,16 @@ func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options) ([]*m
 		}
 		shapes[k] = s
 	}
-	beam := []*state{{pre: march.X, end: march.X}}
-	oracle := newOracle()
-	for _, s := range shapes {
-		if err := mt.CheckNow(); err != nil {
+	orc, err := newOracle(patterns)
+	if err != nil {
+		return nil, err
+	}
+	x := &expander{oracle: orc, seen: map[string]bool{}}
+	beam := []*state{{pre: march.X, end: march.X, snap: orc.root}}
+	for k, s := range shapes {
+		if beam, err = x.step(mt, beam, k, s, opts.BeamWidth); err != nil {
 			return nil, err
 		}
-		var next []*state
-		for _, st := range beam {
-			if err := mt.Check(); err != nil {
-				return nil, err
-			}
-			next = append(next, expand(st, s, oracle)...)
-		}
-		if len(next) == 0 {
-			return nil, fmt.Errorf("gts: no construction realises pattern %s", s.pattern)
-		}
-		beam = prune(next, opts.BeamWidth)
 	}
 	var out []*march.Test
 	seen := map[string]bool{}
@@ -220,53 +246,157 @@ func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options) ([]*m
 	return out, nil
 }
 
-// prune sorts by cost (ties: fewer elements) and deduplicates.
-func prune(states []*state, width int) []*state {
-	sort.SliceStable(states, func(a, b int) bool {
-		if states[a].cost != states[b].cost {
-			return states[a].cost < states[b].cost
-		}
-		return len(states[a].elems) < len(states[b].elems)
-	})
-	seen := map[string]bool{}
-	var out []*state
-	for _, st := range states {
-		k := st.key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, st)
-		if len(out) >= width {
-			break
-		}
-	}
-	return out
+// successor is one way to extend a beam state by the current pattern. It
+// is recorded, not built: most successors fall to the prune, so only the
+// survivors become states of their own.
+type successor struct {
+	parent  int // beam index of the extended state
+	rewrite int // index into expander.rewrites, or keepAsIs / keepDeferred
+	// lo and hi delimit the deduplication signature in expander.keys.
+	lo, hi int
 }
 
-// expand applies every rewrite template of the shape to the state.
-func expand(st *state, s shape, oracle *oracle) []*state {
-	var out []*state
-	emit := func(c *state, ok bool) {
-		if ok {
-			out = append(out, c)
-		}
+// The minimisation successors, which add no operation to their parent.
+const (
+	keepAsIs     = -1 // the parent already realises the pattern
+	keepDeferred = -2 // it does once a leading read observes its open element
+)
+
+// expander runs one assembly call's beam steps. Rewrites run on a
+// reusable scratch copy of the beam state, so recording a successor
+// allocates nothing but its signature bytes.
+type expander struct {
+	oracle   *oracle
+	rewrites []func(c *state) bool // the current pattern's templates
+	succ     []successor
+	order    []uint64 // per successor: cost<<48 | elements<<32 | index
+	keys     []byte   // signature bytes of every successor of the step
+	seen     map[string]bool
+	scratch  state
+	elems    []march.Element // scratch element headers
+	ops      []march.Op      // scratch copy of the open element's ops
+}
+
+// step extends the beam by pattern k (shape s) and returns the next beam
+// of at most width states.
+func (x *expander) step(mt *budget.Meter, beam []*state, k int, s shape, width int) ([]*state, error) {
+	if err := mt.CheckNow(); err != nil {
+		return nil, err
 	}
+	x.rewrites = rewrites(s)
+	x.succ, x.order, x.keys = x.succ[:0], x.order[:0], x.keys[:0]
+	for i, st := range beam {
+		if err := mt.Check(); err != nil {
+			return nil, err
+		}
+		x.expand(i, st, k)
+	}
+	if len(x.succ) == 0 {
+		return nil, fmt.Errorf("gts: no construction realises pattern %s", s.pattern)
+	}
+	return x.prune(beam, width), nil
+}
+
+// expand records every successor of beam state st (beam index i) for
+// pattern k: st itself when it already realises the pattern, then every
+// rewrite template that applies.
+func (x *expander) expand(i int, st *state, k int) {
 	// Minimisation: skip patterns the partial construction already covers.
-	if len(st.elems) > 0 && oracle.covered(st.closed(), s.pattern) {
-		emit(st.clone(), true)
-	} else if len(st.elems) > 0 && st.end.Known() {
+	asIs, withRead := x.oracle.covered(st, k)
+	if asIs {
+		x.record(i, keepAsIs, st)
+	} else if withRead && st.end.Known() {
 		// Virtual skip: the pattern's excitation is already present and
 		// only awaits a future leading read. Locking the element keeps
 		// later appends from overwriting the corruption before it is
 		// observed.
-		virt := st.clone()
-		virt.needRead = true
-		if oracle.covered(virt.closed(), s.pattern) {
-			virt.locked = true
-			emit(virt, true)
+		x.record(i, keepDeferred, x.apply(st, (*state).deferRead))
+	}
+	for r, rewrite := range x.rewrites {
+		if c := x.apply(st, rewrite); c != nil {
+			x.record(i, r, c)
 		}
 	}
+}
+
+// apply runs a rewrite on the scratch copy of st and returns the scratch
+// state, or nil when the rewrite does not apply. The result is only valid
+// until the next apply.
+func (x *expander) apply(st *state, rewrite func(c *state) bool) *state {
+	c := &x.scratch
+	*c = *st
+	c.elems = append(x.elems[:0], st.elems...)
+	open := len(st.elems) - 1
+	if open >= 0 {
+		c.elems[open].Ops = append(x.ops[:0], st.elems[open].Ops...)
+	}
+	ok := rewrite(c)
+	x.elems = c.elems
+	if open >= 0 {
+		x.ops = c.elems[open].Ops
+	}
+	if !ok {
+		return nil
+	}
+	return c
+}
+
+// record appends a successor of beam state parent, built by rewrite into c.
+func (x *expander) record(parent, rewrite int, c *state) {
+	lo := len(x.keys)
+	x.keys = c.appendKey(x.keys)
+	// The prune order: cost, then element count, then recording order.
+	x.order = append(x.order, uint64(c.cost)<<48|uint64(len(c.elems))<<32|uint64(len(x.succ)))
+	x.succ = append(x.succ, successor{parent: parent, rewrite: rewrite, lo: lo, hi: len(x.keys)})
+}
+
+// prune orders the step's successors by cost (ties: fewer elements, then
+// recording order), drops duplicate constructions, and builds the first
+// width as the next beam.
+func (x *expander) prune(beam []*state, width int) []*state {
+	slices.Sort(x.order)
+	clear(x.seen)
+	next := make([]*state, 0, min(width, len(x.succ)))
+	for _, o := range x.order {
+		sc := x.succ[uint32(o)]
+		key := x.keys[sc.lo:sc.hi]
+		if x.seen[string(key)] {
+			continue
+		}
+		x.seen[string(key)] = true
+		next = append(next, x.build(beam[sc.parent], sc.rewrite))
+		if len(next) >= width {
+			break
+		}
+	}
+	return next
+}
+
+// build turns a recorded successor of st into a state of its own. It
+// shares st's closed elements and owns every element the rewrite touched.
+func (x *expander) build(st *state, rewrite int) *state {
+	switch rewrite {
+	case keepAsIs:
+		return st // rewrites never mutate st, so it joins the next beam as it is
+	case keepDeferred:
+		c := st.clone()
+		c.deferRead()
+		return c
+	}
+	c := x.apply(st, x.rewrites[rewrite]).clone()
+	if open := len(st.elems) - 1; open >= 0 && open < len(c.elems)-1 {
+		// The rewrite closed st's open element, whose ops are still in
+		// the scratch buffer.
+		c.elems[open].Ops = slices.Clone(c.elems[open].Ops)
+	}
+	return c
+}
+
+// rewrites lists the rewrite templates that can realise a pattern of
+// shape s, in the order their successors are recorded.
+func rewrites(s shape) []func(c *state) bool {
+	var out []func(c *state) bool
+	add := func(rewrite func(c *state) bool) { out = append(out, rewrite) }
 	switch s.kind {
 	case shapeSingle:
 		if s.hasExcite && s.cond.Known() {
@@ -281,74 +411,82 @@ func expand(st *state, s shape, oracle *oracle) []*state {
 				dirWithin, dirAcross = march.Down, march.Up
 			}
 			// Case (i), new element with immediate trailing read.
-			c := st.clone()
-			emit(c, c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
-				c.appendOp(s.excite) && c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
+			add(func(c *state) bool {
+				return c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
+					c.appendOp(s.excite) && c.appendOp(march.Op{Kind: march.Read, Data: s.b})
+			})
 			// Case (i), new element, observation deferred (the element is
 			// locked so the corruption survives to the next leading read —
 			// which walks the corrupted cell before re-writing it).
-			c = st.clone()
-			emit(c, c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
-				c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
+			add(func(c *state) bool {
+				return c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
+					c.appendOp(s.excite) && c.deferRead()
+			})
 			// Case (i), extension of a compatible element.
-			c = st.clone()
-			emit(c, !c.locked && c.leadRead && c.pre == s.cond && (s.a == march.X || c.end == s.a) &&
-				c.forceDir(dirWithin) && c.appendOp(s.excite) &&
-				c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
+			add(func(c *state) bool {
+				return !c.locked && c.leadRead && c.pre == s.cond && (s.a == march.X || c.end == s.a) &&
+					c.forceDir(dirWithin) && c.appendOp(s.excite) &&
+					c.appendOp(march.Op{Kind: march.Read, Data: s.b})
+			})
 			// Case (ii): the condition cell is walked first and holds the
 			// element's closing value; needs a write excitation equal to
 			// cond and a later leading read.
 			if s.excite.IsWrite() && s.excite.Data == s.cond {
-				c = st.clone()
-				emit(c, !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-					func() bool { c.needRead, c.locked = true, true; return true }())
-				c = st.clone()
-				emit(c, c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-					func() bool { c.needRead, c.locked = true, true; return true }())
+				add(func(c *state) bool {
+					return !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
+						c.deferRead()
+				})
+				add(func(c *state) bool {
+					return c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
+						c.deferRead()
+				})
 			}
-			break
+			return out
 		}
 		if s.hasExcite {
 			// Same-element excitation, observation deferred to the next
 			// leading read. The element is locked: a later write would
 			// overwrite the pending corruption before it is observed.
-			c := st.clone()
-			emit(c, c.drive(s.a) && c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
+			add(func(c *state) bool {
+				return c.drive(s.a) && c.appendOp(s.excite) && c.deferRead()
+			})
 			// Same-element excitation with an immediate trailing read.
-			c = st.clone()
-			emit(c, c.drive(s.a) && c.appendOp(s.excite) &&
-				c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
+			add(func(c *state) bool {
+				return c.drive(s.a) && c.appendOp(s.excite) &&
+					c.appendOp(march.Op{Kind: march.Read, Data: s.b})
+			})
 			// Non-transition write excitations (write destructive faults)
 			// need the pre-value established by a genuine transition, or
 			// the establishing write is itself the excitation and the
 			// "exciting" one repairs the corruption.
 			if s.excite.IsWrite() && s.excite.Data == s.a {
-				c = st.clone()
-				emit(c, c.appendOp(march.Op{Kind: march.Write, Data: s.a.Not()}) &&
-					c.appendOp(march.Op{Kind: march.Write, Data: s.a}) &&
-					c.appendOp(s.excite) &&
-					c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
-				c = st.clone()
-				emit(c, c.appendOp(march.Op{Kind: march.Write, Data: s.a.Not()}) &&
-					c.appendOp(march.Op{Kind: march.Write, Data: s.a}) &&
-					c.appendOp(s.excite) &&
-					func() bool { c.needRead, c.locked = true, true; return true }())
+				add(func(c *state) bool {
+					return c.appendOp(march.Op{Kind: march.Write, Data: s.a.Not()}) &&
+						c.appendOp(march.Op{Kind: march.Write, Data: s.a}) &&
+						c.appendOp(s.excite) &&
+						c.appendOp(march.Op{Kind: march.Read, Data: s.b})
+				})
+				add(func(c *state) bool {
+					return c.appendOp(march.Op{Kind: march.Write, Data: s.a.Not()}) &&
+						c.appendOp(march.Op{Kind: march.Write, Data: s.a}) &&
+						c.appendOp(s.excite) && c.deferRead()
+				})
 			}
 			// Fresh element (its leading read observes prior pending
 			// excitations first).
-			c = st.clone()
-			emit(c, c.end.Known() && c.open(march.Any) && c.drive(s.a) &&
-				c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
-		} else {
-			// Observation-only: a read of the cell while it holds a.
-			c := st.clone()
-			emit(c, c.drive(s.a) && c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
-			c = st.clone()
-			emit(c, c.drive(s.a) && c.end == s.b && c.open(march.Any))
+			add(func(c *state) bool {
+				return c.end.Known() && c.open(march.Any) && c.drive(s.a) &&
+					c.appendOp(s.excite) && c.deferRead()
+			})
+			return out
 		}
+		// Observation-only: a read of the cell while it holds a.
+		add(func(c *state) bool {
+			return c.drive(s.a) && c.appendOp(march.Op{Kind: march.Read, Data: s.b})
+		})
+		add(func(c *state) bool {
+			return c.drive(s.a) && c.end == s.b && c.open(march.Any)
+		})
 	case shapePair:
 		e := s.excite.Data
 		dirWithin, dirAcross := march.Down, march.Up
@@ -358,12 +496,14 @@ func expand(st *state, s shape, oracle *oracle) []*state {
 		// Case (i), new element: ⇑/⇓(r_b, [w_a,] w_e) — the victim is
 		// processed after the aggressor and still holds the element's
 		// pre-value b; the element's own leading read observes.
-		c := st.clone()
-		emit(c, c.drive(s.b) && c.open(dirWithin) && c.drive(s.a) && c.appendOp(s.excite))
+		add(func(c *state) bool {
+			return c.drive(s.b) && c.open(dirWithin) && c.drive(s.a) && c.appendOp(s.excite)
+		})
 		// Case (i), extension of the current element.
-		c = st.clone()
-		emit(c, !c.locked && c.leadRead && c.pre == s.b && (s.a == march.X || c.end == s.a) &&
-			c.forceDir(dirWithin) && c.appendOp(s.excite))
+		add(func(c *state) bool {
+			return !c.locked && c.leadRead && c.pre == s.b && (s.a == march.X || c.end == s.a) &&
+				c.forceDir(dirWithin) && c.appendOp(s.excite)
+		})
 		// Case (ii): the victim is processed before the aggressor and
 		// already holds the element's closing value; requires a write
 		// excitation with b == e and a later leading read. (Read-coupling
@@ -371,16 +511,19 @@ func expand(st *state, s shape, oracle *oracle) []*state {
 		// chain value unchanged, so the element close value equals the
 		// chain, not a victim-specific value.)
 		if s.excite.IsWrite() && s.b == e {
-			c = st.clone()
-			emit(c, !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
-			c = st.clone()
-			emit(c, c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
+			add(func(c *state) bool {
+				return !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
+					c.deferRead()
+			})
+			add(func(c *state) bool {
+				return c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
+					c.deferRead()
+			})
 		}
 	case shapeRetention:
-		c := st.clone()
-		emit(c, c.drive(s.a) && c.delay() && c.open(march.Any))
+		add(func(c *state) bool {
+			return c.drive(s.a) && c.delay() && c.open(march.Any)
+		})
 	}
 	return out
 }

@@ -2,7 +2,7 @@ package gts
 
 import (
 	"marchgen/fsm"
-	"marchgen/internal/sim"
+	"marchgen/internal/simd"
 	"marchgen/march"
 )
 
@@ -23,55 +23,175 @@ func syntheticMachine(p fsm.Pattern) fsm.Machine {
 		fsm.TransitionDev(p.Init, p.Excite[0], next))
 }
 
-// oracle memoises coverage checks: identical (partial test, pattern)
-// queries recur heavily across beam branches.
+// resolutions are the two ⇕ resolutions the oracle checks: every ⇕
+// element ascending, and every ⇕ element descending. The full resolution
+// enumeration is left to the caller's final validation.
+var resolutions = [2]march.Order{march.Up, march.Down}
+
+// blockLanes is one block's lane state under one resolution: the
+// one-hot state planes of its 64 (pattern × initial content) lanes and
+// the OR of every mismatch mask observed so far.
+type blockLanes struct {
+	planes [simd.NumStates]uint64
+	seen   uint64
+}
+
+// snapshot is the immutable lane state of a closed prefix elems[:n] of a
+// construction under both resolutions. Closed elements never change, so
+// a snapshot stays valid for every descendant of the state that computed
+// it, and clones share it.
+type snapshot struct {
+	n int
+	// good is the fault-free machine state per resolution: it yields the
+	// expected value of every read.
+	good [len(resolutions)]uint8
+	// lanes holds resolution r, block b at r·len(blocks)+b.
+	lanes []blockLanes
+}
+
+// coveredHook, when non-nil, observes every coverage verdict: the
+// construction closed the way the query closed it, the pattern, and the
+// verdict. Tests install it to check the lane oracle against the scalar
+// simulator.
+var coveredHook func(t *march.Test, p fsm.Pattern, covered bool)
+
+// oracle answers the minimisation phase's question — does the partial
+// construction already realise pattern k? — on the 64-lane kernel: the
+// call's synthetic pattern machines are compiled once and packed 16 per
+// block, and a query replays only the construction's open element from
+// its closed-prefix snapshot.
 type oracle struct {
-	machines map[string]fsm.Machine
-	verdict  map[string]bool
+	patterns []fsm.Pattern
+	blocks   []*simd.Block
+	root     *snapshot // the empty prefix
 }
 
-func newOracle() *oracle {
-	return &oracle{machines: map[string]fsm.Machine{}, verdict: map[string]bool{}}
+// newOracle compiles the patterns' synthetic machines into blocks and
+// sets up the empty prefix's snapshot.
+func newOracle(patterns []fsm.Pattern) (*oracle, error) {
+	o := &oracle{patterns: patterns}
+	for lo := 0; lo < len(patterns); lo += simd.BlockInstances {
+		hi := min(lo+simd.BlockInstances, len(patterns))
+		machines := make([]*simd.Compiled, 0, hi-lo)
+		for _, p := range patterns[lo:hi] {
+			machines = append(machines, simd.Compile(syntheticMachine(p)))
+		}
+		b, err := simd.NewBlock(machines)
+		if err != nil {
+			return nil, err
+		}
+		o.blocks = append(o.blocks, b)
+	}
+	o.root = &snapshot{lanes: make([]blockLanes, len(resolutions)*len(o.blocks))}
+	unknown := uint8(simd.StateIndex(fsm.Unknown))
+	for r := range resolutions {
+		o.root.good[r] = unknown
+		for b, blk := range o.blocks {
+			o.root.lanes[r*len(o.blocks)+b].planes = blk.InitPlanes()
+		}
+	}
+	return o, nil
 }
 
-// covered reports whether the (possibly partial) March test already
-// realises the pattern, checking the all-ascending and all-descending
-// resolutions of its ⇕ elements. The full resolution enumeration is left
-// to the caller's final validation; this fast check drives the
-// minimisation phase (no operation is emitted for an already-realised
-// pattern).
-func (o *oracle) covered(t *march.Test, p fsm.Pattern) bool {
-	if t == nil || len(t.Elements) == 0 {
-		return false
+// covered reports whether st's construction realises pattern k under both
+// resolutions — every initial content of the pattern's synthetic machine
+// meets a mismatching read — as it stands (asIs, closed the way
+// state.closed closes it) and once a trailing ⇕(r) observes its open
+// element (withRead). Both answers come from one replay of the open
+// element per resolution.
+func (o *oracle) covered(st *state, k int) (asIs, withRead bool) {
+	if len(st.elems) == 0 {
+		return false, false
 	}
-	pKey := p.String()
-	key := t.String() + "#" + pKey
-	if v, ok := o.verdict[key]; ok {
-		return v
+	snap := o.advance(st)
+	bi := k / simd.BlockInstances
+	bit := uint64(1) << (simd.LanesPerInstance * (k % simd.BlockInstances))
+	blk := o.blocks[bi : bi+1]
+	read := [1]march.Op{{Kind: march.Read, Data: st.end}}
+	asIs, withRead = true, true
+	for r, dir := range resolutions {
+		ls := [1]blockLanes{snap.lanes[r*len(o.blocks)+bi]}
+		if simd.NibbleAll(ls[0].seen)&bit != 0 {
+			continue
+		}
+		g := replay(blk, ls[:], snap.good[r], st.elems[len(st.elems)-1], dir)
+		plain := simd.NibbleAll(ls[0].seen)&bit != 0
+		if st.end.Known() {
+			replay(blk, ls[:], g, march.Element{Order: march.Any, Ops: read[:]}, dir)
+		}
+		closing := simd.NibbleAll(ls[0].seen)&bit != 0
+		if st.needRead {
+			plain = closing
+		}
+		asIs, withRead = asIs && plain, withRead && closing
+		if !withRead {
+			// A read can only add detections: asIs is false too.
+			break
+		}
 	}
-	m, ok := o.machines[pKey]
-	if !ok {
-		m = syntheticMachine(p)
-		o.machines[pKey] = m
+	if coveredHook != nil {
+		q := *st
+		coveredHook(q.closed(), o.patterns[k], asIs)
+		q.needRead = true
+		coveredHook(q.closed(), o.patterns[k], withRead)
 	}
-	v := coveredBy(t, m)
-	o.verdict[key] = v
-	return v
+	return asIs, withRead
 }
 
-func coveredBy(t *march.Test, m fsm.Machine) bool {
-	for _, dir := range []march.Order{march.Up, march.Down} {
-		res := make([]march.Order, len(t.Elements))
-		for k, e := range t.Elements {
-			res[k] = e.Order
-			if e.Order == march.Any {
-				res[k] = dir
+// advance returns the snapshot of st's closed prefix, stepping the
+// inherited snapshot over the elements closed since it was taken and
+// storing the result on st for its later clones.
+func (o *oracle) advance(st *state) *snapshot {
+	closed := len(st.elems) - 1
+	prev := st.snap
+	if prev.n == closed {
+		return prev
+	}
+	next := &snapshot{n: closed, good: prev.good, lanes: append([]blockLanes(nil), prev.lanes...)}
+	nb := len(o.blocks)
+	for r, dir := range resolutions {
+		ls := next.lanes[r*nb : (r+1)*nb]
+		for _, e := range st.elems[prev.n:closed] {
+			next.good[r] = replay(o.blocks, ls, next.good[r], e, dir)
+		}
+	}
+	st.snap = next
+	return next
+}
+
+// replay steps the lane states ls (one per block) and the fault-free
+// state g through one element under resolution dir, the way sim.Trace
+// lowers it onto the cell pair (i, j): an ascending element applies its
+// operations to i first, a descending one to j first, and a delay
+// element is one wait symbol. It returns the new fault-free state.
+func replay(blocks []*simd.Block, ls []blockLanes, g uint8, e march.Element, dir march.Order) uint8 {
+	good := simd.Good()
+	step := func(in uint8) {
+		expect := good.Out[g][in]
+		for b, blk := range blocks {
+			ls[b].seen |= blk.Step(&ls[b].planes, in, expect)
+		}
+		g = good.Next[g][in]
+	}
+	if e.Delay {
+		step(uint8(simd.InputIndex(fsm.Wait)))
+		return g
+	}
+	if e.Order != march.Any {
+		dir = e.Order
+	}
+	first := fsm.CellI
+	if dir == march.Down {
+		first = fsm.CellJ
+	}
+	for _, c := range [2]fsm.Cell{first, first.Other()} {
+		for _, op := range e.Ops {
+			in := fsm.Rd(c)
+			if op.IsWrite() {
+				in = fsm.Wr(c, op.Data)
 			}
-		}
-		trace, _ := sim.Trace(t, res)
-		if !fsm.Detects(m, trace) {
-			return false
+			step(uint8(simd.InputIndex(in)))
 		}
 	}
-	return true
+	return g
 }

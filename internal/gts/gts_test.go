@@ -121,25 +121,37 @@ func TestNormaliseShapes(t *testing.T) {
 }
 
 func TestCoveredOracle(t *testing.T) {
-	// MATS++ covers the up-transition fault pattern...
-	o := newOracle()
-	matspp, _ := march.Known("MATS++")
 	tfUp := fsm.NewPattern(fsm.S(march.Zero, march.X), []fsm.Input{fsm.Wr(fsm.CellI, march.One)}, fsm.Rd(fsm.CellI))
-	if !o.covered(matspp.Test, tfUp) {
+	tfDown := fsm.NewPattern(fsm.S(march.One, march.X), []fsm.Input{fsm.Wr(fsm.CellI, march.Zero)}, fsm.Rd(fsm.CellI))
+	o, err := newOracle([]fsm.Pattern{tfUp, tfDown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MATS++ covers the up-transition fault pattern...
+	matspp, _ := march.Known("MATS++")
+	st := stateOf(o, matspp.Test)
+	if asIs, _ := o.covered(st, 0); !asIs {
 		t.Error("MATS++ must cover the TF<u> pattern")
 	}
-	// The verdict is memoised.
-	if !o.covered(matspp.Test, tfUp) {
-		t.Error("memoised verdict changed")
+	// ...the query advanced the snapshot over the closed prefix, and
+	// clones share it...
+	if st.snap.n != len(st.elems)-1 || st.clone().snap != st.snap {
+		t.Errorf("snapshot covers %d of %d closed elements or is not shared", st.snap.n, len(st.elems)-1)
 	}
 	// ...and MATS+ does not cover the down-transition one.
 	matsp, _ := march.Known("MATS+")
-	tfDown := fsm.NewPattern(fsm.S(march.One, march.X), []fsm.Input{fsm.Wr(fsm.CellI, march.Zero)}, fsm.Rd(fsm.CellI))
-	if o.covered(matsp.Test, tfDown) {
+	if asIs, _ := o.covered(stateOf(o, matsp.Test), 1); asIs {
 		t.Error("MATS+ must not cover the TF<d> pattern")
 	}
-	if o.covered(nil, tfDown) || o.covered(&march.Test{}, tfDown) {
-		t.Error("empty tests cover nothing")
+	if asIs, withRead := o.covered(&state{pre: march.X, end: march.X, snap: o.root}, 1); asIs || withRead {
+		t.Error("empty constructions cover nothing")
+	}
+	// {⇕(w1); ⇑(r1,w0)} excites TF<d> but observes it only through the
+	// virtual closing ⇕(r0).
+	pending := stateOf(o, &march.Test{Elements: []march.Element{
+		march.Elem(march.Any, march.W1), march.Elem(march.Up, march.R1, march.W0)}})
+	if asIs, withRead := o.covered(pending, 1); asIs || !withRead {
+		t.Error("TF<d> must be covered exactly when the closing read is added")
 	}
 }
 
@@ -153,6 +165,9 @@ func TestAssembleRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := Assemble([]fsm.Pattern{p}, DefaultOptions()); err == nil {
 		t.Error("multi-op excitation must be rejected")
+	}
+	if _, err := Assemble(nil, DefaultOptions()); err == nil {
+		t.Error("an empty pattern list must be rejected")
 	}
 }
 
@@ -190,9 +205,51 @@ func TestStatePrimitives(t *testing.T) {
 	if st.forceDir(march.Up) {
 		t.Error("conflicting direction must fail")
 	}
+	// st is {⇕(w1); ⇓(r1)}: a clone shares the closed ⇕(w1) and owns its
+	// open element, so growing or re-ordering the clone leaves st alone.
 	c := st.clone()
-	c.elems[0].Ops[0] = march.W0
+	if &c.elems[0].Ops[0] != &st.elems[0].Ops[0] {
+		t.Error("clone must share closed elements")
+	}
+	if !c.appendOp(march.W0) || len(st.elems[1].Ops) != 1 {
+		t.Error("appending to a clone must not grow the parent's open element")
+	}
+	if !c.open(march.Any) || len(st.elems) != 2 {
+		t.Error("opening an element in a clone must not change the parent")
+	}
+	c2 := c.clone()
+	if !c2.forceDir(march.Up) || c.elems[2].Order != march.Any {
+		t.Error("re-ordering a clone's open element must not change its parent")
+	}
+	// closed() deep-copies: its test leaves the package.
+	tst := st.closed()
+	tst.Elements[0].Ops[0] = march.W0
 	if st.elems[0].Ops[0] != march.W1 {
-		t.Error("clone must deep-copy")
+		t.Error("closed must deep-copy")
+	}
+}
+
+// TestAssembleOptionDefaults checks that non-positive option fields take
+// their defaults one by one: a zero candidate cap no longer collapses the
+// result to a single candidate.
+func TestAssembleOptionDefaults(t *testing.T) {
+	pats, _ := patternsOf(t, "SAF,TF,CFin")
+	want, err := Assemble(pats, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {BeamWidth: 48}, {MaxCandidates: -1}} {
+		got, err := Assemble(pats, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(want) < 2 {
+			t.Fatalf("options %+v: %d candidates, defaults give %d", opts, len(got), len(want))
+		}
+		for k := range got {
+			if got[k].String() != want[k].String() {
+				t.Errorf("options %+v: candidate %d is %s, want %s", opts, k, got[k], want[k])
+			}
+		}
 	}
 }

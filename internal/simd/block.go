@@ -76,10 +76,10 @@ func (b *Block) Instances() int { return b.n }
 // Lanes returns the mask of the block's active lanes.
 func (b *Block) Lanes() uint64 { return b.lanes }
 
-// initPlanes returns the one-hot state planes of the start of a run:
+// InitPlanes returns the one-hot state planes of the start of a run:
 // lane 4i+v of instance i begins in the v-th concrete initial content
 // (00, 01, 10, 11 — fsm.ConcreteStates order).
-func (b *Block) initPlanes() [NumStates]uint64 {
+func (b *Block) InitPlanes() [NumStates]uint64 {
 	var planes [NumStates]uint64
 	// StateIndex(00)=0, (01)=1, (10)=3, (11)=4.
 	planes[0] = (nibbleLSB << 0) & b.lanes
@@ -89,44 +89,49 @@ func (b *Block) initPlanes() [NumStates]uint64 {
 	return planes
 }
 
+// Step advances the lanes held in planes by one index-encoded input and
+// returns the lanes whose machine returns a concrete value different
+// from the fault-free expectation expect. Non-read inputs and an unknown
+// expectation yield zero. The mismatch is computed before the input's own
+// state transition, like the scalar engine's Mealy semantics.
+func (b *Block) Step(planes *[NumStates]uint64, in uint8, expect march.Bit) uint64 {
+	var mm uint64
+	if expect.Known() {
+		ms := &b.mism[in]
+		for s := 0; s < NumStates; s++ {
+			if w := planes[s]; w != 0 {
+				mm |= w & ms[s][expect]
+			}
+		}
+	}
+	ts := &b.trans[in]
+	var next [NumStates]uint64
+	for s := 0; s < NumStates; s++ {
+		w := planes[s]
+		if w == 0 {
+			continue
+		}
+		for _, t := range ts[s] {
+			next[t.to] |= w & t.mask
+		}
+	}
+	*planes = next
+	return mm
+}
+
 // RunTrace evaluates the whole block over one input trace and writes the
 // per-position mismatch mask into mism (which must have len(inputs)):
 // bit l of mism[k] is set when lane l's machine, started from lane l's
 // initial content, returns a concrete value different from the
-// fault-free expectation expect[k] at position k. Non-read positions and
-// positions with an unknown expectation yield zero. The mismatch of a
-// position is computed before the position's own state transition, like
-// the scalar engine's Mealy semantics.
+// fault-free expectation expect[k] at position k (see Step).
 func (b *Block) RunTrace(inputs []uint8, expect []march.Bit, mism []uint64) {
 	// One telemetry add per trace, not per word: the whole trace's
 	// lane-step count lands in the process-wide counters up front.
 	laneSteps.Add(uint64(len(inputs)) * uint64(b.n) * LanesPerInstance)
 	traceRuns.Add(1)
-	planes := b.initPlanes()
-	var next [NumStates]uint64
+	planes := b.InitPlanes()
 	for k, in := range inputs {
-		var mm uint64
-		if e := expect[k]; e.Known() {
-			ms := &b.mism[in]
-			for s := 0; s < NumStates; s++ {
-				if w := planes[s]; w != 0 {
-					mm |= w & ms[s][e]
-				}
-			}
-		}
-		mism[k] = mm
-		ts := &b.trans[in]
-		next = [NumStates]uint64{}
-		for s := 0; s < NumStates; s++ {
-			w := planes[s]
-			if w == 0 {
-				continue
-			}
-			for _, t := range ts[s] {
-				next[t.to] |= w & t.mask
-			}
-		}
-		planes = next
+		mism[k] = b.Step(&planes, in, expect[k])
 	}
 }
 

@@ -2,9 +2,10 @@
 // fault simulator — "simd" as in single-instruction multiple-lane over
 // uint64 words, in pure stdlib Go. It accelerates the two hot loops of the
 // generation engine (candidate validation and Coverage-Matrix
-// construction) without changing a single result bit: the scalar engine in
-// package sim remains the reference oracle and the differential tests
-// prove byte-identical output.
+// construction), and through the single-input (*Block).Step it runs the
+// assembler's coverage oracle, without changing a single result bit: the
+// scalar engine in package sim remains the reference oracle and the
+// differential tests prove byte-identical output.
 //
 // # Machine compilation
 //
