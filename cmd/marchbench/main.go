@@ -74,7 +74,7 @@ func baselineWarmNodes(e *experiments.BenchEntry, faults string) int64 {
 func run() int {
 	out := flag.String("o", "", "append the entry to this JSON file instead of stdout")
 	reps := flag.Int("reps", 3, "repetitions per configuration (the minimum time is kept)")
-	workers := flag.Int("workers", 0, "worker count of the parallel configuration (0: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker count of the parallel configuration: selection sweep, simulation and exact ATSP (0: GOMAXPROCS)")
 	label := flag.String("label", "kernel", "label of the bench-file entry this run writes")
 	requireKernel := flag.Bool("require-kernel", false,
 		"fail unless the instrumented run used the bit-parallel kernel with no scalar fallback")

@@ -70,7 +70,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "default per-request hard deadline (0: 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested timeouts (0: 2m)")
 	budgetSpec := flag.String("budget", "", "default soft budget for generate requests, e.g. nodes=100000,soft=2s")
-	workers := flag.Int("workers", 0, "default engine worker-pool size (0: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "default engine worker-pool size for the selection sweep, simulation and exact ATSP (0: GOMAXPROCS)")
 	batchWindow := flag.Duration("batch-window", 0, "micro-batch gathering window (0: default 500µs; negative: disable batching)")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
 	solver := flag.String("solver", "", "default exact-sweep solver mode: enumerate, warm or joint (empty: warm)")

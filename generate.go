@@ -77,7 +77,8 @@ func WithSolverMode(mode string) Option {
 	return func(o *core.Options) { o.SolverMode = mode }
 }
 
-// WithWorkers bounds the generation worker pool: per-fault simulation,
+// WithWorkers bounds the generation worker pool: the §5 selection sweep
+// (each selection's exact solve and assembly), per-fault simulation,
 // coverage-matrix rows and exact-ATSP subtree exploration fan out over at
 // most n goroutines. n == 0 (the default) uses GOMAXPROCS; a negative n is
 // rejected with ErrUsage. The generated test and every statistic except

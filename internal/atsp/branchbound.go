@@ -176,25 +176,10 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 		}
 		sp.End()
 	}()
-	// Upper bounds prime the pruning only. Keeping the incumbent tour
-	// empty until the search reaches an optimal leaf itself makes the
-	// returned tour independent of the priming (see the contract above).
-	var incTour []int
-	incCost := Inf
-	if tour, cost := bestHeuristic(m); validTour(n, tour) && cost < Inf {
-		incTour, incCost = canonical(tour), cost
-	}
-	if opt.WarmTour != nil && validTour(n, opt.WarmTour) {
-		run.Counter("atsp.bb.warm").Inc()
-		if wc := m.TourCost(opt.WarmTour); wc < Inf && wc <= incCost {
-			incTour, incCost = canonical(opt.WarmTour), wc
-		}
-	}
-	if incCost < Inf {
-		s.bound.Store(int64(incCost))
-	}
-	// Bound the root here: the warm shortcut and the root-Hamiltonian case
-	// then return without starting the worker engine at all.
+	// Bound the root first: the warm shortcut and the root-Hamiltonian case
+	// then return without starting the worker engine at all, and a
+	// cost-only solve whose warm tour already meets the bound skips the
+	// heuristic incumbent too.
 	if err := mt.Node(); err != nil {
 		return nil, 0, err
 	}
@@ -207,6 +192,28 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 	if lb >= Inf {
 		rootPruned++
 		return nil, 0, fmt.Errorf("atsp: no feasible tour")
+	}
+	// Upper bounds prime the pruning only. Keeping the incumbent tour
+	// empty until the search reaches an optimal leaf itself makes the
+	// returned tour independent of the priming (see the contract above).
+	// The warm tour wins ties with the heuristic one.
+	var incTour []int
+	incCost := Inf
+	warmCost := Inf
+	if opt.WarmTour != nil && validTour(n, opt.WarmTour) {
+		run.Counter("atsp.bb.warm").Inc()
+		warmCost = m.TourCost(opt.WarmTour)
+	}
+	if !opt.CostOnly || warmCost != lb {
+		if tour, cost := bestHeuristic(m); validTour(n, tour) && cost < Inf {
+			incTour, incCost = canonical(tour), cost
+		}
+	}
+	if warmCost < Inf && warmCost <= incCost {
+		incTour, incCost = canonical(opt.WarmTour), warmCost
+	}
+	if incCost < Inf {
+		s.bound.Store(int64(incCost))
 	}
 	// The root relaxation is the solve's global lower bound: publish it
 	// against the primed incumbent, and stamp it on the span so recorded

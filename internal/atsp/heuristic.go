@@ -94,31 +94,32 @@ func GreedyEdge(m Matrix) ([]int, int) {
 // OrOpt improves a tour by relocating segments of length 1..3 to every
 // other position, a direction-preserving local search suited to asymmetric
 // instances (unlike 2-opt, it never reverses a segment). It repeats until
-// no move improves the cost.
+// no move improves the cost. Candidate moves are built in scratch
+// buffers: seg and rest hold the moved segment and the tour without it,
+// and cand, assembled in place, swaps places with cur on an improvement.
 func OrOpt(m Matrix, tour []int) ([]int, int) {
 	n := len(tour)
 	cur := append([]int(nil), tour...)
 	cost := m.TourCost(cur)
+	seg := make([]int, 0, 3)
+	rest := make([]int, 0, n)
+	cand := make([]int, n)
 	improved := true
 	for improved {
 		improved = false
 		for segLen := 1; segLen <= 3 && segLen < n; segLen++ {
-			for i := 0; i < n; i++ {
-				// Segment occupies positions i..i+segLen-1 (cyclically
-				// contiguous); try reinserting after position k.
-				if i+segLen > n {
-					continue
-				}
-				seg := append([]int(nil), cur[i:i+segLen]...)
-				rest := append([]int(nil), cur[:i]...)
-				rest = append(rest, cur[i+segLen:]...)
+			// Segment occupies positions i..i+segLen-1; try reinserting it
+			// at every position of the remaining tour.
+			for i := 0; i+segLen <= n; i++ {
+				seg = append(seg[:0], cur[i:i+segLen]...)
+				rest = append(append(rest[:0], cur[:i]...), cur[i+segLen:]...)
 				for k := 0; k <= len(rest); k++ {
-					cand := make([]int, 0, n)
-					cand = append(cand, rest[:k]...)
-					cand = append(cand, seg...)
-					cand = append(cand, rest[k:]...)
+					copy(cand, rest[:k])
+					copy(cand[k:], seg)
+					copy(cand[k+segLen:], rest[k:])
 					if c := m.TourCost(cand); c < cost {
-						cur, cost = cand, c
+						cur, cand = cand, cur
+						cost = c
 						improved = true
 					}
 				}

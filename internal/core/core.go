@@ -71,10 +71,12 @@ type Options struct {
 	// unlimited. Exhaustion degrades the result (see Result.Degraded)
 	// instead of failing, unless no valid candidate exists yet.
 	Budget budget.Budget
-	// Workers bounds the worker pool fanning out per-fault simulation,
-	// coverage-matrix rows and exact-ATSP subtree exploration (0: use
-	// GOMAXPROCS; negative is rejected as a usage error). Results are
-	// byte-identical at any worker count.
+	// Workers bounds the worker pool fanning out the §5 selection sweep
+	// (each selection's exact solve and assembly, see sweep.go), per-fault
+	// simulation, coverage-matrix rows and exact-ATSP subtree exploration
+	// (0: use GOMAXPROCS; negative is rejected as a usage error). Budgeted
+	// runs sweep on one producer. Results are byte-identical at any worker
+	// count.
 	Workers int
 	// Distributor, when non-nil, is offered the §5 selection sweep for
 	// cross-process execution (see SweepDistributor in shard.go). The
@@ -326,158 +328,71 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		cache:       cache,
 		verdictHits: run.Counter("memo.verdict_hits"),
 	}
-	var best *march.Test
-	var lastErr error
-	bestNodes, bestCost := 0, 0
-	seenNodeSets := map[string]bool{}
-	// The joint mode prunes duplicate selection subtrees up front; the
-	// mask only exists when the list is the complete lexicographic product
-	// (a budget truncation breaks the contiguity argument — see jointSkips).
-	var jointSkip []bool
-	if mode == SolverJoint && !truncated {
-		var prunedSubtrees, skippedLeaves int
-		jointSkip, prunedSubtrees, skippedLeaves = jointSkips(classes, selections)
-		run.Counter("core.joint.subtrees_pruned").Add(int64(prunedSubtrees))
-		run.Counter("core.joint.leaves_skipped").Add(int64(skippedLeaves))
+	sw := &sweep{
+		m:          m,
+		selections: selections,
+		// Warm-start threading (warm and joint modes): each producer's
+		// previous first optimal ordering seeds its next solve's incumbent.
+		order: orderConfig{
+			exact:    opts.Exact,
+			workers:  workers,
+			preferBB: mode != SolverEnumerate,
+		},
+		opts:    opts,
+		cache:   cache,
+		workers: workers,
+		stages:  stages,
+		prog:    prog,
+		gen:     gen,
+		degrade: degrade,
+		acc:     newFoldState(),
 	}
-	// Warm-start threading (warm and joint modes): the previous
-	// selection's first optimal ordering seeds the next solve's incumbent.
-	preferBB := mode != SolverEnumerate
-	var prevOrder []fsm.Pattern
-	// selCost collects each deduplicated node set's exact visit cost for
-	// MinSelectionCost and the joint certificate; minSel is its minimum
-	// (-1: nothing solved exactly yet).
-	selCost := map[string]int{}
-	minSel := -1
 	// A distributor may take the whole sweep off this process where the
-	// shard merge is provably byte-identical (see shard.go); on success
-	// the sequential loop below is skipped by emptying its range. Any
-	// failure — a declined offer, an unreachable shard, no candidate —
-	// leaves sweep untouched and the ordinary loop runs.
-	sweep := selections
+	// shard merge is provably byte-identical (see shard.go). Any failure —
+	// a declined offer, an unreachable shard, no candidate — leaves the
+	// fold state fresh and the local sweep runs.
+	distributed := false
 	if d := opts.Distributor; d != nil && mode == SolverWarm && opts.Exact &&
 		opts.Budget.Unlimited() && !truncated && len(selections) > 1 {
 		stages.Enter("select")
-		merged, ok, derr := distributeSweep(ctx, d, models, opts, len(selections), gen, prog, run)
+		shards, ok, derr := distributeSweep(ctx, d, models, opts, sw)
 		if derr != nil {
 			return nil, derr
 		}
 		if ok {
-			best = merged.best
-			bestNodes, bestCost = merged.bestNodes, merged.bestCost
-			res.Candidates = merged.candidates
-			prog.Candidates(int64(res.Candidates))
-			prog.Best(int64(best.Complexity()))
-			if merged.minSel >= 0 {
-				minSel = merged.minSel
-			}
 			run.Counter("core.sweep.distributed").Inc()
-			run.Counter("core.sweep.shards").Add(int64(merged.shards))
-			sweep = nil
+			run.Counter("core.sweep.shards").Add(int64(shards))
+			distributed = true
 		} else {
 			run.Counter("core.sweep.local_fallback").Inc()
+			sw.acc = newFoldState()
 		}
 	}
-search:
-	for idx, sel := range sweep {
-		// Each select span carries the sweep fraction in parts per
-		// million: successive spans of one run are monotone, an invariant
-		// tracecheck validates on recorded traces.
-		stages.Enter("select").SetInt("progress_ppm", int64(idx)*1_000_000/int64(len(selections)))
-		prog.Selection(int64(idx), int64(len(selections)))
-		if err := m.CheckNow(); err != nil {
+	if !distributed {
+		stages.Enter("select")
+		// The joint mode prunes duplicate selection subtrees up front; the
+		// mask only exists when the list is the complete lexicographic
+		// product (a budget truncation breaks the contiguity argument — see
+		// jointSkips).
+		var jointSkip []bool
+		if mode == SolverJoint && !truncated {
+			var prunedSubtrees, skippedLeaves int
+			jointSkip, prunedSubtrees, skippedLeaves = jointSkips(classes, selections)
+			run.Counter("core.joint.subtrees_pruned").Add(int64(prunedSubtrees))
+			run.Counter("core.joint.leaves_skipped").Add(int64(skippedLeaves))
+		}
+		sw.reduce(classes, 0, len(selections), jointSkip)
+		if err := sw.run(ctx, 0, len(selections), sw.fold); err != nil && err != errSweepStop {
 			return nil, err
 		}
-		if m.SoftExpired() {
-			degrade("select")
-			break
-		}
-		if jointSkip != nil && jointSkip[idx] {
-			continue // whole subtree duplicates an earlier one
-		}
-		nodes := tpg.Reduce(classes, sel)
-		nodeSig := nodeSignature(nodes)
-		if seenNodeSets[nodeSig] {
-			continue // different selections can reduce to the same TPG
-		}
-		seenNodeSets[nodeSig] = true
-		stages.Enter("atsp")
-		patterns, cost, exactCost, err := orderPatterns(m, nodes, orderConfig{
-			exact:    opts.Exact,
-			workers:  workers,
-			preferBB: preferBB,
-			warm:     prevOrder,
-		}, cache, degrade)
-		if err != nil {
-			if budget.IsHard(err) {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		if preferBB {
-			prevOrder = patterns[0]
-		}
-		if exactCost {
-			selCost[nodeSig] = cost
-			if minSel < 0 || cost < minSel {
-				minSel = cost
-			}
-		}
-		seenOrder := map[string]bool{}
-		for _, ordered := range patterns {
-			if sig := orderSignature(ordered); seenOrder[sig] {
-				continue
-			} else {
-				seenOrder[sig] = true
-			}
-			stages.Enter("assemble")
-			cands, err := gts.AssembleMeter(m, ordered, opts.Beam)
-			if err != nil {
-				if budget.IsHard(err) {
-					return nil, err
-				}
-				lastErr = err
-				continue
-			}
-			for _, cand := range cands {
-				if lim := opts.Budget.Candidates; lim > 0 && res.Candidates >= lim {
-					degrade("assemble")
-					break search
-				}
-				res.Candidates++
-				prog.Candidates(int64(res.Candidates))
-				if best != nil && cand.Complexity() >= best.Complexity()+2 {
-					continue // too long to beat the incumbent even after shrinking
-				}
-				stages.Enter("validate")
-				ok := gen.complete(cand)
-				if gen.err != nil {
-					return nil, gen.err
-				}
-				if !ok {
-					continue
-				}
-				if !opts.DisableShrink {
-					stages.Enter("shrink")
-					cand = gen.shrink(cand)
-					if gen.err != nil {
-						return nil, gen.err
-					}
-				}
-				if better(cand, best) {
-					best = cand
-					bestNodes, bestCost = len(nodes), cost
-					prog.Best(int64(best.Complexity()))
-				}
-			}
-		}
 	}
+	best := sw.acc.best
+	res.Candidates = sw.acc.candidates
 	if gen.softStopped {
 		degrade("shrink")
 	}
-	if minSel >= 0 {
-		res.MinSelectionCost = minSel
+	if sw.acc.minSel >= 0 {
+		res.MinSelectionCost = sw.acc.minSel
 	}
 	if mode == SolverJoint && opts.Exact && opts.Budget.Unlimited() {
 		// The optimality certificate explores the *full* choice product
@@ -485,7 +400,7 @@ search:
 		// Budgeted runs skip it: a budget is a statement about this run's
 		// resources, and the certificate is strictly extra work.
 		stages.Enter("certify")
-		if err := runCertificate(m, classes, selCost, minSel, workers, cache, run); err != nil {
+		if err := runCertificate(m, classes, sw.acc.selCost, sw.acc.minSel, workers, cache, run); err != nil {
 			return nil, err
 		}
 	}
@@ -502,7 +417,7 @@ search:
 		if res.Degraded {
 			return nil, fmt.Errorf("core: %w before any valid candidate was found (%d classes)", budget.ErrBudgetExhausted, len(classes))
 		}
-		if lastErr != nil {
+		if lastErr := sw.acc.lastErr; lastErr != nil {
 			return nil, fmt.Errorf("core: no valid March test found for the fault list (%d classes): %w; last pipeline error: %w", len(classes), budget.ErrUnsupportedFault, lastErr)
 		}
 		return nil, fmt.Errorf("core: no valid March test found for the fault list (%d classes): %w", len(classes), budget.ErrUnsupportedFault)
@@ -524,8 +439,8 @@ search:
 	}
 	res.Test = best
 	res.Complexity = best.Complexity()
-	res.Nodes = bestNodes
-	res.PathCost = bestCost
+	res.Nodes = sw.acc.bestNodes
+	res.PathCost = sw.acc.bestCost
 	res.Coverage = cov
 	if cache != nil && !res.Degraded {
 		cache.Put(resKey, &cachedResult{
@@ -980,11 +895,12 @@ func (g *genContext) complete(t *march.Test) bool {
 
 // orderSignature fingerprints a pattern ordering for deduplication.
 func orderSignature(patterns []fsm.Pattern) string {
-	sig := ""
+	var sb strings.Builder
 	for _, p := range patterns {
-		sig += p.String() + ";"
+		sb.WriteString(p.String())
+		sb.WriteByte(';')
 	}
-	return sig
+	return sb.String()
 }
 
 // shrink removes redundant operations: any operation (or delay element)

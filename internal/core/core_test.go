@@ -188,16 +188,17 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
-// TestRandomSublistsPropertyBased: any random combination of fault models
-// yields a complete, operation-minimal (no single removable op) test.
-func TestRandomSublistsPropertyBased(t *testing.T) {
+// randomSublists returns the seeded random fault lists the property
+// tests run over (fewer under -short).
+func randomSublists() []string {
 	names := []string{"SAF", "TF", "WDF", "RDF", "DRDF", "IRF", "SOF", "ADF", "CFin", "CFid", "CFst"}
 	rng := rand.New(rand.NewSource(20260707))
 	trials := 8
 	if testing.Short() {
 		trials = 3
 	}
-	for trial := 0; trial < trials; trial++ {
+	lists := make([]string, trials)
+	for trial := range lists {
 		var list string
 		for _, n := range names {
 			if rng.Intn(3) == 0 {
@@ -210,6 +211,15 @@ func TestRandomSublistsPropertyBased(t *testing.T) {
 		if list == "" {
 			list = "SAF"
 		}
+		lists[trial] = list
+	}
+	return lists
+}
+
+// TestRandomSublistsPropertyBased: any random combination of fault models
+// yields a complete, operation-minimal (no single removable op) test.
+func TestRandomSublistsPropertyBased(t *testing.T) {
+	for trial, list := range randomSublists() {
 		res := generate(t, list, DefaultOptions())
 		if !res.Coverage.Complete() {
 			t.Errorf("trial %d (%s): incomplete: %v", trial, list, res.Coverage.Missed())

@@ -1,40 +1,25 @@
 // Cross-process distribution of the §5 selection sweep.
 //
-// The division of labour is chosen so byte-identity with the sequential
-// sweep is structural, not probabilistic. A shard performs only the
-// expensive, selection-local work: reducing each selection's TPG,
-// solving its exact ATSP (with a shard-local warm chain) and assembling
-// the rewrite candidates. What it ships back is the ordered *candidate
-// stream* — per selection, the node signature, node count, exact visit
-// cost and every assembled candidate in March notation. The coordinator
-// then replays the sequential sweep's fold over the concatenated
-// streams in ascending selection order: global node-set deduplication,
-// candidate counting, the incumbent prune, simulator validation,
-// shrinking and the better() comparison all run in one place, on
-// exactly the sequence of candidates the sequential loop would have
-// seen.
-//
-// Two facts carry the byte-identity argument:
-//
-//   - the candidate stream is a pure function of the selection: the
-//     exact solver's strict-prune + lexLess offer rule makes its
-//     returned tour set warm/cold-invariant (see internal/atsp), so a
-//     shard's restarted warm chain changes solver effort, never the
-//     patterns — and assembly is deterministic in the patterns;
-//   - everything whose outcome depends on *global* sweep state — the
-//     incumbent prune (whose threshold tracks the best-so-far across
-//     all earlier selections) and the first-seen tie-break in better()
-//     — is not distributed at all; the coordinator replays it
-//     sequentially over the merged stream. An earlier version let each
-//     shard prune and validate against its own local incumbent; that
-//     validated a superset of the sequential candidates and could
-//     surface equal-complexity tests the sequential prune had dropped.
+// Distribution is the produce/fold split of sweep.go stretched across
+// processes: a shard runs produce over its contiguous slice of the
+// selection index space (with a shard-local warm chain) and ships back
+// the ordered candidate stream — per selection, the node signature, node
+// count, exact visit cost and every assembled candidate in March
+// notation. The coordinator parses the concatenated streams and runs the
+// fold over them in ascending selection order, so global node-set
+// deduplication, the candidate count, the incumbent prune, validation,
+// shrinking and better() all run in one place, on exactly the candidate
+// sequence the local sweep would fold. The byte-identity argument is the
+// one in sweep.go; an earlier version that let each shard prune and
+// validate against its own local incumbent validated a superset of the
+// sequential candidates and could surface equal-complexity tests the
+// sequential prune had dropped.
 //
 // Distribution is offered only where that argument holds wholesale:
 // exact solves, warm mode, unlimited budget, no selection truncation.
-// Everything else — and every distribution failure — runs the ordinary
-// sequential sweep. The distributor is infrastructure, never a
-// correctness dependency.
+// Everything else — and every distribution failure — runs the local
+// sweep. The distributor is infrastructure, never a correctness
+// dependency.
 package core
 
 import (
@@ -43,9 +28,7 @@ import (
 	"sync"
 
 	"marchgen/fault"
-	"marchgen/fsm"
 	"marchgen/internal/budget"
-	"marchgen/internal/gts"
 	"marchgen/internal/obs"
 	"marchgen/internal/tpg"
 	"marchgen/march"
@@ -105,14 +88,14 @@ type SweepDistributor interface {
 }
 
 // RunShardModels executes one contiguous shard of the §5 selection
-// sweep in-process: reduce, exact-solve and assemble every first-seen
-// selection in [sh.Lo, sh.Hi), with a shard-local warm chain. No
-// validation, pruning or shrinking happens here — those depend on
-// global sweep state and run in the coordinator's replay. It is the
-// executor behind the replica set's internal sweep endpoint and the
-// local fallback for unreachable peers. The shard runs unbudgeted
-// (distribution is only offered to unbudgeted runs); ctx cancellation
-// still aborts it.
+// sweep in-process: produce (reduce, exact-solve and assemble) every
+// first-seen selection in [sh.Lo, sh.Hi), fanned out over opts.Workers
+// producers with producer-local warm chains. No validation, pruning or
+// shrinking happens here — those depend on global sweep state and run in
+// the coordinator's fold. It is the executor behind the replica set's
+// internal sweep endpoint and the local fallback for unreachable peers.
+// The shard runs unbudgeted (distribution is only offered to unbudgeted
+// runs); ctx cancellation still aborts it.
 func RunShardModels(ctx context.Context, models []fault.Model, opts Options, sh SweepShard) (_ *ShardOutcome, err error) {
 	if opts.SelectionLimit <= 0 {
 		opts.SelectionLimit = 64
@@ -144,92 +127,66 @@ func RunShardModels(ctx context.Context, models []fault.Model, opts Options, sh 
 	span.SetInt("lo", int64(sh.Lo)).SetInt("hi", int64(sh.Hi))
 	defer span.End()
 
+	sw := &sweep{
+		m:          m,
+		selections: selections,
+		order:      orderConfig{exact: true, workers: workers, preferBB: true},
+		opts:       opts,
+		cache:      opts.Cache,
+		workers:    workers,
+	}
+	sw.reduce(classes, sh.Lo, sh.Hi, nil)
 	out := &ShardOutcome{Shard: sh}
-	var prevOrder []fsm.Pattern
-	seen := map[string]bool{}
-	noDegrade := func(string) {} // unbudgeted: the exact solvers cannot soft-exhaust
-	for idx := sh.Lo; idx < sh.Hi; idx++ {
-		if err := m.CheckNow(); err != nil {
-			return nil, err
+	err = sw.run(ctx, sh.Lo, sh.Hi, func(u *selection) error {
+		if u.sig == "" || u.err != nil {
+			return nil // nothing produced, or a soft solve failure: skipped, as the fold does
 		}
-		nodes := tpg.Reduce(classes, selections[idx])
-		sig := nodeSignature(nodes)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		patterns, cost, exactCost, err := orderPatterns(m, nodes, orderConfig{
-			exact:    true,
-			workers:  workers,
-			preferBB: true,
-			warm:     prevOrder,
-		}, opts.Cache, noDegrade)
-		if err != nil {
-			if budget.IsHard(err) {
-				return nil, err
+		sel := ShardSelection{Sig: u.sig, Nodes: u.nodes, Cost: u.cost, ExactCost: u.exactCost}
+		for k := range u.orders {
+			o := &u.orders[k]
+			if err := o.assemble(m, opts.Beam); err != nil {
+				return err
 			}
-			continue // soft solver failure: skip the selection, as the sequential sweep does
-		}
-		prevOrder = patterns[0]
-		sel := ShardSelection{Sig: sig, Nodes: len(nodes), Cost: cost, ExactCost: exactCost}
-		seenOrder := map[string]bool{}
-		for _, ordered := range patterns {
-			if osig := orderSignature(ordered); seenOrder[osig] {
-				continue
-			} else {
-				seenOrder[osig] = true
-			}
-			cands, err := gts.AssembleMeter(m, ordered, opts.Beam)
-			if err != nil {
-				if budget.IsHard(err) {
-					return nil, err
-				}
-				continue
-			}
-			for _, cand := range cands {
+			for _, cand := range o.cands {
 				sel.Candidates = append(sel.Candidates, cand.String())
 			}
 		}
 		out.Selections = append(out.Selections, sel)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	run.Counter("core.sweep.shards_run").Inc()
 	return out, nil
 }
 
-// mergedSweep is the coordinator-side replay of every shard's candidate
-// stream back into the sequential sweep's observable state.
-type mergedSweep struct {
-	best                *march.Test
-	bestNodes, bestCost int
-	candidates          int
-	minSel              int
-	shards              int
-}
-
-// distributeSweep offers the sweep to the distributor, then replays the
-// sequential fold over the merged candidate streams (see the package
-// comment). ok is false — and the caller runs the ordinary sequential
-// sweep — when the distributor declines, returns a malformed partition,
-// any shard fails, a candidate fails to parse, or no candidate
-// validated. A non-nil err is a hard engine error from the replay's
-// validation (context cancellation, simulator failure) and aborts the
-// whole run, exactly as it would mid-loop sequentially.
-func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Model, opts Options, total int, gen *genContext, prog *obs.Progress, run *obs.Run) (_ *mergedSweep, ok bool, err error) {
+// distributeSweep offers the sweep to the distributor, then runs the
+// fold over the parsed candidate streams (see the package comment) and
+// reports the shard count. ok is false — and the caller resets the fold
+// state and runs the local sweep — when the distributor declines,
+// returns a malformed partition, any shard fails, a candidate fails to
+// parse, or no candidate validated. A non-nil err is a hard engine error
+// from the fold's validation (context cancellation, simulator failure)
+// and aborts the whole run, exactly as it would mid-sweep locally.
+func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Model, opts Options, sw *sweep) (_ int, ok bool, err error) {
+	run := obs.From(ctx)
+	total := len(sw.selections)
 	shards := d.Shards(total)
 	if len(shards) < 2 {
-		return nil, false, nil
+		return 0, false, nil
 	}
 	want := 0
 	for _, sh := range shards {
 		if sh.Lo != want || sh.Hi <= sh.Lo {
 			run.Counter("core.sweep.bad_partition").Inc()
-			return nil, false, nil
+			return 0, false, nil
 		}
 		want = sh.Hi
 	}
 	if want != total {
 		run.Counter("core.sweep.bad_partition").Inc()
-		return nil, false, nil
+		return 0, false, nil
 	}
 	outs := make([]*ShardOutcome, len(shards))
 	errs := make([]error, len(shards))
@@ -249,7 +206,7 @@ func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Mod
 				// reading even while shards complete out of order.
 				mu.Lock()
 				completed += shards[i].Hi - shards[i].Lo
-				prog.Selection(int64(completed), int64(total))
+				sw.prog.Selection(int64(completed), int64(total))
 				mu.Unlock()
 			}
 		}(i)
@@ -258,57 +215,29 @@ func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Mod
 	for i := range shards {
 		if errs[i] != nil || outs[i] == nil {
 			run.Counter("core.sweep.shard_errors").Inc()
-			return nil, false, nil
+			return 0, false, nil
 		}
 	}
-
-	// The replay: the sequential loop body over the concatenated streams,
-	// in ascending selection order — global dedup, candidate count, the
-	// incumbent prune, validation, shrinking, better().
-	merged := &mergedSweep{minSel: -1, shards: len(shards)}
-	seenSig := map[string]bool{}
 	for _, out := range outs {
 		for _, sel := range out.Selections {
-			if seenSig[sel.Sig] {
-				continue
-			}
-			seenSig[sel.Sig] = true
-			if sel.ExactCost && (merged.minSel < 0 || sel.Cost < merged.minSel) {
-				merged.minSel = sel.Cost
-			}
-			for _, cs := range sel.Candidates {
-				merged.candidates++
-				cand, perr := march.Parse(cs)
-				if perr != nil {
+			cands := make([]*march.Test, len(sel.Candidates))
+			for k, cs := range sel.Candidates {
+				if cands[k], err = march.Parse(cs); err != nil {
 					run.Counter("core.sweep.shard_errors").Inc()
-					return nil, false, nil
+					return 0, false, nil
 				}
-				if merged.best != nil && cand.Complexity() >= merged.best.Complexity()+2 {
-					continue // too long to beat the incumbent even after shrinking
-				}
-				valid := gen.complete(cand)
-				if gen.err != nil {
-					return nil, false, gen.err
-				}
-				if !valid {
-					continue
-				}
-				if !opts.DisableShrink {
-					cand = gen.shrink(cand)
-					if gen.err != nil {
-						return nil, false, gen.err
-					}
-				}
-				if better(cand, merged.best) {
-					merged.best = cand
-					merged.bestNodes, merged.bestCost = sel.Nodes, sel.Cost
-					prog.Best(int64(merged.best.Complexity()))
-				}
+			}
+			u := &selection{
+				sig:       sel.Sig,
+				nodes:     sel.Nodes,
+				cost:      sel.Cost,
+				exactCost: sel.ExactCost,
+				orders:    []ordering{{assembled: true, cands: cands}},
+			}
+			if err := sw.fold(u); err != nil {
+				return 0, false, err
 			}
 		}
 	}
-	if merged.best == nil {
-		return nil, false, nil
-	}
-	return merged, true, nil
+	return len(shards), sw.acc.best != nil, nil
 }

@@ -74,6 +74,31 @@ func newBus() *bus {
 func (b *bus) publish(ev Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.publishLocked(ev)
+}
+
+// publishProgress publishes the event build makes from the run's live
+// progress snapshot (nil without a run), reading the snapshot under the
+// bus lock. Spans finish on several goroutines at once — the selection
+// sweep's producers end theirs while the fold moves on — and reading and
+// publishing in one step keeps the stream in snapshot order, so its
+// monotone cells (sweep fraction, nodes, candidates) never step back.
+// build returns false to skip the event.
+func (b *bus) publishProgress(run *obs.Run, build func(snap *obs.ProgressSnapshot) (Event, bool)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var snap *obs.ProgressSnapshot
+	if run != nil {
+		s := run.ProgressSnapshot()
+		snap = &s
+	}
+	if ev, ok := build(snap); ok {
+		b.publishLocked(ev)
+	}
+}
+
+// publishLocked is publish with b.mu held.
+func (b *bus) publishLocked(ev Event) {
 	if b.closed {
 		return
 	}

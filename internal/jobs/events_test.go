@@ -1,8 +1,11 @@
 package jobs
 
 import (
+	"sync"
 	"testing"
 	"time"
+
+	"marchgen/internal/obs"
 )
 
 // TestBusRateLimitMapPruned pins the lifecycle of the per-span-name
@@ -60,5 +63,37 @@ func TestBusSubscribeAfterClose(t *testing.T) {
 	}
 	if _, open := <-ch; open {
 		t.Fatal("live channel after close must be closed")
+	}
+}
+
+// TestBusProgressInSnapshotOrder publishes progress from many goroutines
+// while the sweep fraction advances, as the selection sweep's producers
+// do: the published stream must never step the fraction back.
+func TestBusProgressInSnapshotOrder(t *testing.T) {
+	b := newBus()
+	run := obs.NewRun()
+	const total = 200
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < total; i += 8 {
+				run.Progress().Selection(int64(i), total)
+				b.publishProgress(run, func(snap *obs.ProgressSnapshot) (Event, bool) {
+					return Event{Type: "progress", Progress: snap}, true
+				})
+			}
+		}(g)
+	}
+	wg.Wait()
+	past, _, cancel := b.subscribe()
+	defer cancel()
+	last := -1.0
+	for _, ev := range past {
+		if ev.Progress.Fraction < last {
+			t.Fatalf("event %d: fraction %v after %v", ev.Seq, ev.Progress.Fraction, last)
+		}
+		last = ev.Progress.Fraction
 	}
 }

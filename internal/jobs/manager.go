@@ -369,12 +369,9 @@ func (j *Job) observe(ev obs.Event) {
 		stage = strings.TrimPrefix(ev.Name, stagePrefix)
 	}
 	if j.bus.shouldEmit(ev.Name, progressEvery) {
-		e := Event{Type: "progress", Span: ev.Name, DurUS: ev.DurUS, Stage: stage}
-		if run := j.liveRun(); run != nil {
-			snap := run.ProgressSnapshot()
-			e.Progress = &snap
-		}
-		j.bus.publish(e)
+		j.bus.publishProgress(j.liveRun(), func(snap *obs.ProgressSnapshot) (Event, bool) {
+			return Event{Type: "progress", Span: ev.Name, DurUS: ev.DurUS, Stage: stage, Progress: snap}, true
+		})
 	}
 	if stage != "" {
 		j.checkpoint(stage)
@@ -417,15 +414,16 @@ func (j *Job) startProgressTicker(run *obs.Run) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				snap := run.ProgressSnapshot()
-				if !snap.Changed(prev) {
-					continue
-				}
-				prev = snap
-				j.bus.publish(Event{
-					Type:     "progress",
-					Stage:    strings.TrimPrefix(snap.Stage, stagePrefix),
-					Progress: &snap,
+				j.bus.publishProgress(run, func(snap *obs.ProgressSnapshot) (Event, bool) {
+					if !snap.Changed(prev) {
+						return Event{}, false
+					}
+					prev = *snap
+					return Event{
+						Type:     "progress",
+						Stage:    strings.TrimPrefix(snap.Stage, stagePrefix),
+						Progress: snap,
+					}, true
 				})
 			}
 		}

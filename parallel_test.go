@@ -18,9 +18,10 @@ var propertyLists = []string{
 	"SAF,TF,ADF,CFin",
 }
 
-// TestParallelMatchesSequential is the tentpole's central property: the
-// generated test, its complexity and the optimal path cost are
-// byte-identical at any worker count (run under -cpu 1,2,8 and -race in
+// TestParallelMatchesSequential is the parallel engine's central
+// property: the generated test, its complexity, the optimal path cost,
+// the candidate count and the minimum selection cost are byte-identical
+// at any worker count (run under -cpu 1,2,8 and -race in
 // CI to vary real parallelism and scheduling).
 func TestParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
@@ -45,6 +46,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if got.Stats.PathCost != want.Stats.PathCost {
 				t.Errorf("%s workers=%d: path cost %d, sequential %d",
 					faults, workers, got.Stats.PathCost, want.Stats.PathCost)
+			}
+			if got.Stats.Candidates != want.Stats.Candidates {
+				t.Errorf("%s workers=%d: %d candidates, sequential %d",
+					faults, workers, got.Stats.Candidates, want.Stats.Candidates)
+			}
+			if got.Stats.MinSelectionCost != want.Stats.MinSelectionCost {
+				t.Errorf("%s workers=%d: min selection cost %d, sequential %d",
+					faults, workers, got.Stats.MinSelectionCost, want.Stats.MinSelectionCost)
 			}
 		}
 	}
