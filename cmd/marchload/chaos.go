@@ -161,7 +161,7 @@ func chaosMix() []chaosJob {
 type serverProc struct {
 	bin, addr, dir, failpoints string
 	// extraArgs appends further marchserve flags (the replica driver
-	// passes -peers/-solver here).
+	// passes -peers here).
 	extraArgs []string
 	cmd       *exec.Cmd
 	exited    chan struct{}

@@ -9,12 +9,12 @@
 //
 // Workers rotate through the ';'-separated fault lists, so a mixed
 // workload exercises the server's coalescer (identical in-flight
-// requests), micro-batcher (overlapping model sets) and memo cache
-// (repeated lists) at once. Closed-loop means measured latency is honest
-// under overload: a saturated server slows the loop down instead of
-// building an unbounded client-side backlog. A 503 shed is retried up to
-// -retries times, honoring the server's Retry-After hint with capped
-// exponential backoff and jitter; the report counts the retries.
+// requests), admission control and memo cache (repeated lists) at
+// once. Closed-loop means measured latency is honest under overload: a
+// saturated server slows the loop down instead of building an unbounded
+// client-side backlog. A 503 shed is retried up to -retries times,
+// honoring the server's Retry-After hint with capped exponential backoff
+// and jitter; the report counts the retries.
 //
 // -chaos switches marchload into a crash-recovery harness instead: it
 // starts its own marchserve subprocess with a durable job store, submits

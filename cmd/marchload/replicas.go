@@ -1,13 +1,12 @@
 // Replica-set mode: marchload -replicas N spawns its own N-replica
 // marchserve set (each replica with its own durable store, all joined
-// by -peers, warm solver mode so eligible sweeps distribute), drives
-// the usual closed-loop workload across it, and asserts the replica
-// tier's two headline properties:
+// by -peers), drives the usual closed-loop workload across it, and
+// asserts the replica tier's two headline properties:
 //
 //   - byte identity: every 2xx response's test must equal the local
 //     single-process marchgen.Generate result for its fault list —
-//     through forwarding, peer-fetched memo warmth, distributed sweep
-//     shards and (with -replica-kill) the loss of a replica mid-run;
+//     through forwarding, peer-fetched memo warmth and (with
+//     -replica-kill) the loss of a replica mid-run;
 //
 //   - visibility: the per-replica request distribution (from the
 //     X-March-Served-By header) lands in the report, so a ring
@@ -94,7 +93,7 @@ func replicasRun(o *replicaOpts) int {
 			bin:       o.serverBin,
 			addr:      a,
 			dir:       dir,
-			extraArgs: []string{"-peers", peers, "-solver", "warm"},
+			extraArgs: []string{"-peers", peers},
 		}
 		if err := procs[i].start(); err != nil {
 			return fail("start replica %d on %s: %v", i+1, a, err)
@@ -161,7 +160,7 @@ func replicasRun(o *replicaOpts) int {
 
 	// Byte identity: every 2xx response must match the uninterrupted
 	// local computation of its fault list, whichever replica served it
-	// and whether it was computed, memo-warm or merged from sweep shards.
+	// and whether it was computed or memo-warm.
 	expect := map[string]string{}
 	for _, list := range o.lists {
 		res, err := marchgen.Generate(list)

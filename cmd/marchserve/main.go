@@ -11,10 +11,11 @@
 //
 // Endpoints: POST /v1/generate, /v1/verify, /v1/simulate; GET /healthz,
 // /readyz, /metrics. Concurrent identical generate requests coalesce onto
-// one engine run; overlapping queued requests micro-batch onto shared
-// permits; past the admission window requests are shed with 503 and a
-// Retry-After hint. See docs/api.md for the wire schemas and the error
-// table.
+// one engine run; at most -max-inflight runs hold an engine permit at
+// once, and a run whose deadline passes while it waits for one is
+// answered 504; past the admission window requests are shed with 503
+// and a Retry-After hint. See docs/api.md for the wire schemas and the
+// error table.
 //
 // -store DIR additionally enables the durable job API (POST /v1/jobs,
 // GET /v1/jobs/{id}, GET /v1/jobs/{id}/events): results are committed to
@@ -24,10 +25,9 @@
 //
 // -peers A,B,C (each replica started with the same list and its own
 // -addr from it) forms a replica set: requests forward to the replica
-// owning their content key on a consistent-hash ring, memo entries warm
-// on any replica are fetched from peers, and exact warm-mode selection
-// sweeps (-solver warm) distribute across the set. See
-// docs/operations.md for the deployment recipe.
+// owning their content key on a consistent-hash ring, and memo entries
+// warm on any replica are fetched from peers. See docs/operations.md for
+// the deployment recipe.
 //
 // SIGINT/SIGTERM drain gracefully: /readyz flips to 503, new requests are
 // shed, in-flight requests finish (bounded by -drain-timeout), running
@@ -71,7 +71,6 @@ func run() int {
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested timeouts (0: 2m)")
 	budgetSpec := flag.String("budget", "", "default soft budget for generate requests, e.g. nodes=100000,soft=2s")
 	workers := flag.Int("workers", 0, "default engine worker-pool size for the selection sweep, simulation and exact ATSP (0: GOMAXPROCS)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch gathering window (0: default 500µs; negative: disable batching)")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
 	solver := flag.String("solver", "", "default exact-sweep solver mode: enumerate, warm or joint (empty: warm)")
 	peers := flag.String("peers", "", "comma-separated replica addresses forming a replica set with this server (must include -addr)")
@@ -133,7 +132,6 @@ func run() int {
 		MaxTimeout:     *maxTimeout,
 		DefaultBudget:  *budgetSpec,
 		Workers:        w,
-		BatchWindow:    *batchWindow,
 		Store:          st,
 		Obs:            orun,
 		Self:           *addr,

@@ -18,10 +18,6 @@ import (
 // recurse.
 const MemoPathPrefix = "/v1/internal/memo/"
 
-// SweepPath is the URL path of the internal shard-execution endpoint:
-// POST a shard request, receive the shard's sweep outcome.
-const SweepPath = "/v1/internal/sweep"
-
 // ForwardHeader marks a request that has already been routed once by a
 // replica. A receiving replica never forwards a marked request again,
 // so routing loops are impossible even with disagreeing peer lists.

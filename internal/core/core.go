@@ -78,14 +78,6 @@ type Options struct {
 	// runs sweep on one producer. Results are byte-identical at any worker
 	// count.
 	Workers int
-	// Distributor, when non-nil, is offered the §5 selection sweep for
-	// cross-process execution (see SweepDistributor in shard.go). The
-	// offer is made only where the distributed merge is provably
-	// byte-identical to the sequential sweep — exact solves in
-	// SolverWarm mode, unlimited budget, untruncated selection list —
-	// and any distribution failure falls back to the sequential sweep,
-	// so the field never changes what is computed, only where.
-	Distributor SweepDistributor
 	// Cache, when non-nil, memoises coverage matrices, solved tour
 	// fragments, completeness verdicts and whole results under
 	// content-addressed keys, so repeated runs over the same fault list
@@ -347,44 +339,21 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		degrade: degrade,
 		acc:     newFoldState(),
 	}
-	// A distributor may take the whole sweep off this process where the
-	// shard merge is provably byte-identical (see shard.go). Any failure —
-	// a declined offer, an unreachable shard, no candidate — leaves the
-	// fold state fresh and the local sweep runs.
-	distributed := false
-	if d := opts.Distributor; d != nil && mode == SolverWarm && opts.Exact &&
-		opts.Budget.Unlimited() && !truncated && len(selections) > 1 {
-		stages.Enter("select")
-		shards, ok, derr := distributeSweep(ctx, d, models, opts, sw)
-		if derr != nil {
-			return nil, derr
-		}
-		if ok {
-			run.Counter("core.sweep.distributed").Inc()
-			run.Counter("core.sweep.shards").Add(int64(shards))
-			distributed = true
-		} else {
-			run.Counter("core.sweep.local_fallback").Inc()
-			sw.acc = newFoldState()
-		}
+	stages.Enter("select")
+	// The joint mode prunes duplicate selection subtrees up front; the
+	// mask only exists when the list is the complete lexicographic
+	// product (a budget truncation breaks the contiguity argument — see
+	// jointSkips).
+	var jointSkip []bool
+	if mode == SolverJoint && !truncated {
+		var prunedSubtrees, skippedLeaves int
+		jointSkip, prunedSubtrees, skippedLeaves = jointSkips(classes, selections)
+		run.Counter("core.joint.subtrees_pruned").Add(int64(prunedSubtrees))
+		run.Counter("core.joint.leaves_skipped").Add(int64(skippedLeaves))
 	}
-	if !distributed {
-		stages.Enter("select")
-		// The joint mode prunes duplicate selection subtrees up front; the
-		// mask only exists when the list is the complete lexicographic
-		// product (a budget truncation breaks the contiguity argument — see
-		// jointSkips).
-		var jointSkip []bool
-		if mode == SolverJoint && !truncated {
-			var prunedSubtrees, skippedLeaves int
-			jointSkip, prunedSubtrees, skippedLeaves = jointSkips(classes, selections)
-			run.Counter("core.joint.subtrees_pruned").Add(int64(prunedSubtrees))
-			run.Counter("core.joint.leaves_skipped").Add(int64(skippedLeaves))
-		}
-		sw.reduce(classes, 0, len(selections), jointSkip)
-		if err := sw.run(ctx, 0, len(selections), sw.fold); err != nil && err != errSweepStop {
-			return nil, err
-		}
+	sw.reduce(classes, jointSkip)
+	if err := sw.run(ctx); err != nil && err != errSweepStop {
+		return nil, err
 	}
 	best := sw.acc.best
 	res.Candidates = sw.acc.candidates

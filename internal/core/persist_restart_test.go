@@ -51,6 +51,14 @@ outer:
 	return out
 }
 
+// warmOptions returns the default options pinned to the warm solver
+// mode, the mode whose warm chains the durable tier primes.
+func warmOptions() Options {
+	opts := DefaultOptions()
+	opts.SolverMode = SolverWarm
+	return opts
+}
+
 // primedRun generates list in warm mode over a fresh cache attached to
 // tier, returning the result and the run's metrics snapshot — one
 // simulated process lifetime.
@@ -161,38 +169,6 @@ func TestCrossRestartRejectsBadFragments(t *testing.T) {
 	}
 	if res.Test.String() != first.Test.String() {
 		t.Fatalf("output over corrupted tier %q != original %q", res.Test, first.Test)
-	}
-}
-
-// TestDistributedShardsPrimeFromTier locks the cluster leg of cross-run
-// priming: shard solves run the same cache-consulting orderPatterns as
-// the sequential sweep, so a distributed sweep over a tier holding only
-// tpgcost fragments (in production reached through cluster.PeerTier)
-// primes its shard-local warm chains — and still emits the byte-identical
-// test.
-func TestDistributedShardsPrimeFromTier(t *testing.T) {
-	const list = "SAF,TF,ADF"
-	tier := newMapTier()
-	seq, _ := primedRun(t, list, tier)
-
-	cache := memo.New(0)
-	cache.AttachDisk(tier.without("result", "tour"), Codec())
-	run := obs.NewRun()
-	opts := warmOptions()
-	opts.Cache = cache
-	opts.Obs = run
-	opts.Distributor = &localDistributor{n: 3}
-	dist := generate(t, list, opts)
-	if dist.Test.String() != seq.Test.String() {
-		t.Fatalf("primed distributed test %q != sequential %q", dist.Test, seq.Test)
-	}
-	snap := run.Snapshot()
-	if snap["core.sweep.distributed"] != 1 {
-		t.Fatalf("sweep did not distribute (metrics %v)", snap)
-	}
-	if snap["core.warm.primed"] == 0 || snap["memo.tpgcost_hits"] == 0 {
-		t.Fatalf("shards did not prime from the tier (tpgcost_hits=%d primed=%d)",
-			snap["memo.tpgcost_hits"], snap["core.warm.primed"])
 	}
 }
 

@@ -22,10 +22,8 @@
 // whose threshold tracks the best test of all earlier selections, and
 // the first-seen tie-break in better() — runs in the fold alone, on
 // exactly the sequence of candidates a sequential loop would see. That
-// is why the same produce and fold serve three sweeps with byte-identical
-// output: inline, fanned out over the worker pool (pool.Stream), and
-// distributed across replicas (shard.go: shards produce, the coordinator
-// folds).
+// is why the same produce and fold serve two sweeps with byte-identical
+// output: inline, and fanned out over the worker pool (pool.Stream).
 //
 // One-worker and budgeted runs produce inline: produce(i) and fold(i)
 // alternate on the caller's goroutine, assembly happens ordering by
@@ -63,8 +61,8 @@ type sweep struct {
 	selections []tpg.Selection
 	// nodes[i] and sigs[i] are selection i's reduced TPG and its node-set
 	// signature; nodes[i] is nil when produce has nothing to do for i (a
-	// joint-pruned subtree, or a node set an earlier selection of the
-	// range already reduces to).
+	// joint-pruned subtree, or a node set an earlier selection already
+	// reduces to).
 	nodes [][]tpg.Node
 	sigs  []string
 	order orderConfig
@@ -149,43 +147,42 @@ func (o *ordering) assemble(m *budget.Meter, beam gts.Options) error {
 	return nil
 }
 
-// reduce computes the reduced TPG of every selection in [lo, hi) that
-// produce must solve, on s.workers goroutines: skip marks joint-pruned
-// subtrees (nil: none), and a node set an earlier selection of the range
-// reduces to is left out.
-func (s *sweep) reduce(classes []tpg.Class, lo, hi int, skip []bool) {
+// reduce computes the reduced TPG of every selection that produce must
+// solve, on s.workers goroutines: skip marks joint-pruned subtrees (nil:
+// none), and a node set an earlier selection reduces to is left out.
+func (s *sweep) reduce(classes []tpg.Class, skip []bool) {
 	type reduced struct {
 		nodes []tpg.Node
 		sig   string
 	}
-	rs, _ := pool.Map(s.workers, hi-lo, func(j int) (reduced, error) {
-		if skip != nil && skip[lo+j] {
+	rs, _ := pool.Map(s.workers, len(s.selections), func(i int) (reduced, error) {
+		if skip != nil && skip[i] {
 			return reduced{}, nil
 		}
-		nodes := tpg.Reduce(classes, s.selections[lo+j])
+		nodes := tpg.Reduce(classes, s.selections[i])
 		return reduced{nodes, nodeSignature(nodes)}, nil
 	})
 	s.nodes = make([][]tpg.Node, len(s.selections))
 	s.sigs = make([]string, len(s.selections))
 	first := map[string]bool{}
-	for j, r := range rs {
+	for i, r := range rs {
 		if r.nodes == nil || first[r.sig] {
 			continue // different selections can reduce to the same TPG
 		}
 		first[r.sig] = true
-		s.nodes[lo+j], s.sigs[lo+j] = r.nodes, r.sig
+		s.nodes[i], s.sigs[i] = r.nodes, r.sig
 	}
 }
 
-// run streams [lo, hi) through produce and consume: on s.workers
+// run streams every selection through produce and fold: on s.workers
 // producers when pooled, else inline. A pooled stream covers only the
 // selections produce solves — the fold has nothing to do for the rest —
 // so the 2×workers window spans real work. Solves run on the caller's
 // worker count inline and on one worker each when pooled: the sweep then
 // owns the parallelism.
-func (s *sweep) run(ctx context.Context, lo, hi int, consume func(u *selection) error) error {
+func (s *sweep) run(ctx context.Context) error {
 	var solves, units []int
-	for i := lo; i < hi; i++ {
+	for i := range s.selections {
 		units = append(units, i)
 		if s.nodes[i] != nil {
 			solves = append(solves, i)
@@ -204,10 +201,10 @@ func (s *sweep) run(ctx context.Context, lo, hi int, consume func(u *selection) 
 		func(w, j int) (*selection, error) { return s.produce(w, units[j]) },
 		func(j int, u *selection) error {
 			if !s.pooled {
-				return consume(u)
+				return s.fold(u)
 			}
 			s.enterSelect(units[j])
-			err := consume(u)
+			err := s.fold(u)
 			if err == nil && j+1 < len(units) {
 				s.await(units[j+1])
 			}

@@ -254,12 +254,11 @@ generator: ` + "`-c`" + ` workers each keep exactly one request in flight until
 ` + "`-n`" + ` total complete, so a saturated server slows the loop down instead
 of building an unbounded client-side backlog — the measured latencies
 stay honest under overload. Workers rotate through the Table 3 fault
-lists, exercising the coalescer (identical in-flight requests), the
-micro-batcher (overlapping model sets) and the memo cache (repeated
-lists) together. Each run appends one trajectory entry — timestamp,
-configuration, ok/shed/error partition, coalesced and cache-hit counts,
-throughput, and p50/p90/p99/max latency — to the JSON array. Reproduce
-with:
+lists, exercising the coalescer (identical in-flight requests) and the
+memo cache (repeated lists) together. Each run appends one trajectory
+entry — timestamp, configuration, ok/shed/error partition, coalesced and
+cache-hit counts, throughput, and p50/p90/p99/max latency — to the JSON
+array. Reproduce with:
 
     go run ./cmd/marchserve -addr localhost:8080 &
     go run ./cmd/marchload -addr localhost:8080 -n 200 -c 8 -o BENCH_serve.json

@@ -85,9 +85,6 @@ func resetClusterGlobals(t *testing.T) {
 // startReplica runs a Server on a pre-allocated listener.
 func startReplica(t *testing.T, cfg Config, ln net.Listener) *Server {
 	t.Helper()
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = -1
-	}
 	s := New(cfg)
 	hs := &http.Server{Handler: s.Handler()}
 	go func() { _ = hs.Serve(ln) }()
@@ -232,46 +229,6 @@ func TestForwardOrServe(t *testing.T) {
 	}
 }
 
-// TestSweepShardEndpoint locks the internal shard executor's contract:
-// a valid shard answers 200 with the echoed range and per-selection
-// candidate streams; an out-of-range shard is a 400 usage error; a
-// server outside any replica set answers 503.
-func TestSweepShardEndpoint(t *testing.T) {
-	resetClusterGlobals(t)
-	_, ts := newTestServer(t, Config{Self: "127.0.0.1:9", Peers: []string{"127.0.0.1:9", deadAddr(t)}})
-
-	resp, raw := post(t, ts.URL+cluster.SweepPath, ShardRequest{Faults: "SAF,TF,ADF", Lo: 0, Hi: 4})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	var out core.ShardOutcome
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Shard.Lo != 0 || out.Shard.Hi != 4 {
-		t.Fatalf("echoed shard [%d,%d), want [0,4)", out.Shard.Lo, out.Shard.Hi)
-	}
-	if len(out.Selections) == 0 {
-		t.Fatalf("no selections in shard outcome: %s", raw)
-	}
-	for _, sel := range out.Selections {
-		if sel.Sig == "" || sel.Nodes == 0 {
-			t.Fatalf("malformed selection %+v", sel)
-		}
-	}
-
-	resp, raw = post(t, ts.URL+cluster.SweepPath, ShardRequest{Faults: "SAF,TF,ADF", Lo: 0, Hi: 100000})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range shard: status %d, want 400: %s", resp.StatusCode, raw)
-	}
-
-	_, plain := newTestServer(t, Config{})
-	resp, raw = post(t, plain.URL+cluster.SweepPath, ShardRequest{Faults: "SAF", Lo: 0, Hi: 1})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("single-node sweep: status %d, want 503: %s", resp.StatusCode, raw)
-	}
-}
-
 // TestMemoEndpoints locks the internal memo endpoints: key validation,
 // clean 404 misses, rejection of undecodable offers, and a full
 // offer-then-fetch round trip through the shared cache.
@@ -355,26 +312,23 @@ func TestSolverField(t *testing.T) {
 	}
 }
 
-// TestDistributedServeByteIdentical is the serve-layer half of the
-// tentpole's acceptance: a 3-replica set answering a warm-mode request
-// (whose sweep distributes across the set) returns exactly the test a
-// single-process run produces.
-func TestDistributedServeByteIdentical(t *testing.T) {
+// TestReplicaSetByteIdentical locks replica-set byte identity on a
+// multi-selection fault list: a request entered at a replica that does
+// not own its key is served by the ring owner and returns exactly the
+// test a single-process run produces.
+func TestReplicaSetByteIdentical(t *testing.T) {
 	resetClusterGlobals(t)
 	const list = "SAF,TF,ADF,CFin"
-	want := func() string {
-		models, err := fault.ParseList(list)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := core.DefaultOptions()
-		opts.Cache = memo.New(0) // isolated: no help from the replicas' shared cache
-		res, err := core.GenerateCtx(context.Background(), models, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Test.String()
-	}()
+	models, err := fault.ParseList(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Cache = memo.New(0) // isolated: no help from the replicas' shared cache
+	want, err := core.GenerateCtx(context.Background(), models, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	lns := []net.Listener{listen(t), listen(t), listen(t)}
 	peers := make([]string, len(lns))
@@ -383,30 +337,27 @@ func TestDistributedServeByteIdentical(t *testing.T) {
 	}
 	servers := make([]*Server, len(lns))
 	for i, ln := range lns {
-		servers[i] = startReplica(t, Config{Self: peers[i], Peers: peers, SolverMode: marchgen.SolverWarm}, ln)
+		servers[i] = startReplica(t, Config{Self: peers[i], Peers: peers}, ln)
 	}
 
-	resp, raw := post(t, "http://"+peers[0]+"/v1/generate", GenerateRequest{Faults: list})
+	req := GenerateRequest{Faults: list}
+	owner := servers[0].cluster.Owner(generateKey(fault.Key(fault.Instances(models)), &req))
+	entry := peers[0]
+	if entry == owner {
+		entry = peers[1]
+	}
+	resp, raw := post(t, "http://"+entry+"/v1/generate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if served := resp.Header.Get(cluster.ServedByHeader); served != owner {
+		t.Fatalf("served by %q, want the ring owner %q", served, owner)
 	}
 	var out GenerateResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Test != want {
-		t.Fatalf("replica set produced %q, single process %q", out.Test, want)
-	}
-	var shardsServed, distributed int64
-	for _, s := range servers {
-		snap := s.run.Snapshot()
-		shardsServed += snap["serve.cluster.shards_served"]
-		distributed += snap["core.sweep.distributed"]
-	}
-	if distributed != 1 {
-		t.Fatalf("core.sweep.distributed total = %d, want 1", distributed)
-	}
-	if shardsServed == 0 {
-		t.Fatal("no replica served a remote shard — the sweep never left the coordinator")
+	if out.Test != want.Test.String() {
+		t.Fatalf("replica set produced %q, single process %q", out.Test, want.Test)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"marchgen"
 	"marchgen/fault"
 	"marchgen/internal/cluster"
-	"marchgen/internal/core"
 	"marchgen/internal/memo"
 	"marchgen/internal/obs"
 )
@@ -25,7 +24,7 @@ func mapCtxErr(err error) error {
 }
 
 // handleGenerate serves POST /v1/generate: admission → canonical key →
-// coalesce → micro-batch → engine → typed-status response.
+// coalesce → engine permit → engine → typed-status response.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	id := s.requestID(r)
 	sp := s.run.Start("serve/generate").SetStr("id", id)
@@ -112,21 +111,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return tctx, func() { tcancel(); cancel() }
 	})
 	if !coalesced {
-		modelNames := make([]string, len(models))
-		for i, m := range models {
-			modelNames[i] = m.Name
-		}
-		s.batcher.submit(&batchItem{
-			models: modelNames,
-			exec: func() {
-				if s.testLeaderGate != nil {
-					<-s.testLeaderGate
-				}
-				s.group.runs.Inc()
-				res, err := s.executeGenerate(c.runCtx, &req)
-				s.group.complete(c, res, err)
-			},
-		})
+		go s.lead(c, &req)
 	}
 	sp.SetInt("coalesced", boolInt(coalesced))
 
@@ -165,6 +150,25 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// lead runs a coalesced call's engine run on the leader's behalf. The
+// permit wait happens under the call's detached runCtx, so it honours the
+// request's timeout but not one caller's disconnect: a call whose
+// deadline passes, or whose every waiter leaves, while it is still queued
+// completes with the mapped context error and never reaches the engine.
+func (s *Server) lead(c *call, req *GenerateRequest) {
+	if err := s.acquire(c.runCtx); err != nil {
+		s.group.complete(c, nil, mapCtxErr(err))
+		return
+	}
+	if s.testLeaderGate != nil {
+		<-s.testLeaderGate
+	}
+	s.group.runs.Inc()
+	res, err := s.executeGenerate(c.runCtx, req)
+	s.release()
+	s.group.complete(c, res, err)
+}
+
 // executeGenerate runs the engine for one coalesced call. The soft
 // budget is parsed here, not at admission, so a "soft=500ms" deadline is
 // relative to the moment the run actually starts rather than to its time
@@ -198,11 +202,6 @@ func (s *Server) executeGenerate(ctx context.Context, req *GenerateRequest) (*ma
 			return nil, err
 		}
 		opts = append(opts, marchgen.WithBudget(b))
-	}
-	if d := s.distributorFor(req, mode, spec); d != nil {
-		// marchgen.Option is a raw func over core.Options, so the
-		// distributor hook needs no public API surface.
-		opts = append(opts, marchgen.Option(func(o *core.Options) { o.Distributor = d }))
 	}
 	return marchgen.GenerateCtx(ctx, req.Faults, opts...)
 }

@@ -31,9 +31,6 @@ func newStoreServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *store
 		t.Fatal(err)
 	}
 	cfg.Store = st
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = -1
-	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -388,7 +385,7 @@ func TestJobsRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sA := New(Config{Store: st, BatchWindow: -1, MaxInFlight: 1})
+	sA := New(Config{Store: st, MaxInFlight: 1})
 	tsA := httptest.NewServer(sA.Handler())
 	defer tsA.Close()
 
@@ -429,7 +426,7 @@ func TestJobsRestartResume(t *testing.T) {
 	}
 
 	// Restart: a fresh server over the same store re-adopts and finishes.
-	sB := New(Config{Store: st, BatchWindow: -1})
+	sB := New(Config{Store: st})
 	tsB := httptest.NewServer(sB.Handler())
 	t.Cleanup(func() {
 		tsB.Close()

@@ -10,12 +10,8 @@
 //     receive byte-identical tests (coalesce.go);
 //   - admission control: a bounded in-flight window plus a bounded queue;
 //     past both, requests are shed with 503 and a Retry-After hint, and a
-//     request whose deadline expires while queued is shed without ever
-//     reaching the engine (admission in server.go, permits in batch.go);
-//   - micro-batching: queued generate requests whose fault-model sets
-//     overlap are grouped and executed back-to-back on one engine permit,
-//     so the memo cache's coverage matrices, tour fragments and verdicts
-//     stay warm across the group (batch.go);
+//     request whose deadline expires while queued for an engine permit is
+//     answered without ever reaching the engine (admit and acquire, below);
 //   - typed-error mapping: the error taxonomy of the root package
 //     (ErrCanceled, ErrDeadlineExceeded, ErrBudgetExhausted, ErrUsage,
 //     ErrUnsupportedFault, ErrInternal) maps onto HTTP statuses exactly as
@@ -28,9 +24,8 @@
 //     cmd/marchserve wires to SIGTERM;
 //   - replica sets: with Config.Peers, N servers form a consistent-hash
 //     replica set — generate requests route to their key's ring owner,
-//     memo warmth anywhere becomes warmth everywhere through a
-//     peer-fetch tier, and eligible warm-mode sweeps distribute across
-//     the set (cluster.go, internal/cluster).
+//     and memo warmth anywhere becomes warmth everywhere through a
+//     peer-fetch tier (cluster.go, internal/cluster).
 //
 // The package is stdlib-only, like everything else in the module. See
 // docs/api.md for the wire schemas and cmd/marchserve for the binary.
@@ -81,11 +76,6 @@ type Config struct {
 	// set its own (0: GOMAXPROCS). Results are byte-identical at any
 	// worker count, so this is purely a throughput/latency knob.
 	Workers int
-	// BatchWindow is how long a generate request lingers in the
-	// micro-batcher waiting for overlapping requests to arrive before it
-	// is dispatched. 0 disables batching (every request dispatches
-	// immediately on its own permit). Default (via DefaultConfig): 500µs.
-	BatchWindow time.Duration
 	// RetryAfter is the hint returned in the Retry-After header of shed
 	// responses. Default: 1s.
 	RetryAfter time.Duration
@@ -107,15 +97,14 @@ type Config struct {
 	// Peers lists every replica address in the set, Self included (it is
 	// added if missing). With at least one address besides Self, the
 	// server joins the replica set: /v1/generate requests forward to the
-	// ring owner of their key, the shared memo cache gains a peer-fetch
-	// tier (layered over the Store tier when both are set), and eligible
-	// selection sweeps distribute across the set. Empty: single-node
-	// mode, all cluster endpoints answer 503 cluster_disabled.
+	// ring owner of their key, and the shared memo cache gains a
+	// peer-fetch tier (layered over the Store tier when both are set).
+	// Empty: single-node mode, all cluster endpoints answer 503
+	// cluster_disabled.
 	Peers []string
 	// SolverMode is the default exact-sweep solver mode applied to
 	// generate requests that do not carry their own "solver" field:
 	// "enumerate", "warm" or "joint". Empty: the engine default (warm).
-	// Distributed sweeps require warm mode (the empty default included).
 	SolverMode string
 }
 
@@ -126,7 +115,6 @@ func DefaultConfig() Config {
 		QueueDepth:     64,
 		DefaultTimeout: 30 * time.Second,
 		MaxTimeout:     2 * time.Minute,
-		BatchWindow:    500 * time.Microsecond,
 		RetryAfter:     time.Second,
 	}
 }
@@ -145,22 +133,13 @@ type Server struct {
 	// sem holds the engine permits: at most MaxInFlight engine runs
 	// execute concurrently, whatever the admission window holds.
 	sem chan struct{}
-	// shardSem holds the permits for peer-submitted sweep shards — a
-	// pool deliberately disjoint from sem. A coordinator holds its own
-	// engine permit while waiting on remote shards; if shards competed
-	// for the same pool, two replicas coordinating concurrently would
-	// deadlock waiting on each other's held permits. Shard handlers
-	// never call back out to peers, so the disjoint pool keeps the
-	// cross-replica wait graph acyclic.
-	shardSem chan struct{}
 	// wg tracks admitted requests for Drain.
 	wg sync.WaitGroup
 
 	draining atomic.Bool
 	reqSeq   atomic.Uint64
 
-	group   *group
-	batcher *batcher
+	group *group
 
 	// store/jobs are the durable job subsystem, nil without Config.Store.
 	store     *store.Store
@@ -174,17 +153,14 @@ type Server struct {
 	cluster    *cluster.Cluster
 	peerClient *http.Client
 
-	// testLeaderGate, when non-nil, blocks every coalescing leader just
-	// before its engine run until the channel is closed — a test-only
+	// testLeaderGate, when non-nil, blocks every coalescing leader that
+	// holds its engine permit until the channel is closed — a test-only
 	// seam that lets the coalescing tests deterministically pile joiners
 	// onto an in-flight call.
 	testLeaderGate chan struct{}
 }
 
 // New builds a Server from cfg, filling unset fields from DefaultConfig.
-// Note the zero-value caveat on Config.BatchWindow: a caller who wants
-// batching disabled sets BatchWindow negative, since 0 selects the
-// default window.
 func New(cfg Config) *Server {
 	def := DefaultConfig()
 	if cfg.MaxInFlight <= 0 {
@@ -199,9 +175,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = def.MaxTimeout
 	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = def.BatchWindow
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = def.RetryAfter
 	}
@@ -209,14 +182,12 @@ func New(cfg Config) *Server {
 		cfg.Obs = obs.NewRun()
 	}
 	s := &Server{
-		cfg:      cfg,
-		run:      cfg.Obs,
-		start:    time.Now(),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		shardSem: make(chan struct{}, cfg.MaxInFlight),
+		cfg:   cfg,
+		run:   cfg.Obs,
+		start: time.Now(),
+		sem:   make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.group = newGroup(s.run)
-	s.batcher = newBatcher(s, cfg.BatchWindow)
 	if cfg.Store != nil {
 		s.store = cfg.Store
 		// The durable memo tier makes the engine's checkpointed artifacts
@@ -269,7 +240,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("jobs_events", s.handleJobEvents))
 	mux.HandleFunc("GET "+cluster.MemoPathPrefix+"{key}", s.handleMemoGet)
 	mux.HandleFunc("POST "+cluster.MemoPathPrefix+"{key}", s.handleMemoPut)
-	mux.HandleFunc("POST "+cluster.SweepPath, s.instrument("sweep_shard", s.handleSweepShard))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

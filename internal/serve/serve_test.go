@@ -22,8 +22,7 @@ import (
 // (~100ms+) that concurrent requests reliably overlap in flight.
 const fiveFaults = "SAF,TF,ADF,CFin,CFid"
 
-// newTestServer builds a Server (batching disabled unless the test
-// enables it) behind an httptest listener.
+// newTestServer builds a Server behind an httptest listener.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	s, ts, _ := newGatedServer(t, cfg, false)
 	return s, ts
@@ -34,9 +33,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // gated is true.
 func newGatedServer(t *testing.T, cfg Config, gated bool) (*Server, *httptest.Server, chan struct{}) {
 	t.Helper()
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = -1 // deterministic: no batching unless asked
-	}
 	s := New(cfg)
 	var gate chan struct{}
 	if gated {
@@ -284,40 +280,57 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestBatchOverlap enables a wide batch window and checks that two
-// leaders with overlapping fault models are grouped onto one permit.
-func TestBatchOverlap(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: 150 * time.Millisecond})
-	var wg sync.WaitGroup
-	for _, f := range []string{"SAF,TF", "TF,ADF"} { // overlap: TF
-		wg.Add(1)
-		go func(f string) {
-			defer wg.Done()
-			resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: f})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("%s: status %d: %s", f, resp.StatusCode, raw)
-			}
-		}(f)
-	}
-	wg.Wait()
-	snap := s.run.Snapshot()
-	if snap["serve.batch.grouped"] != 2 {
-		t.Fatalf("batch.grouped = %d, want 2 (snapshot %v)", snap["serve.batch.grouped"], snap)
-	}
-	if snap["serve.batch.size.max"] != 2 {
-		t.Fatalf("batch.size.max = %d, want 2", snap["serve.batch.size.max"])
-	}
-}
+// TestQueuedLeaderHonoursDeadline locks deadline-aware permit queueing
+// for generate leaders: with the only engine permit held, a distinct
+// request whose timeout_ms passes while its leader waits for a permit is
+// answered 504 on time and never counts as an engine run. The gate also
+// opens from a timer, so a leader that ignores its deadline fails the
+// test instead of hanging it.
+func TestQueuedLeaderHonoursDeadline(t *testing.T) {
+	marchgen.ResetCache()
+	s, ts, gate := newGatedServer(t, Config{MaxInFlight: 1}, true)
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	timer := time.AfterFunc(2*time.Second, open)
+	defer timer.Stop()
+	defer open()
 
-func TestGroupByOverlap(t *testing.T) {
-	mk := func(models ...string) *batchItem { return &batchItem{models: models} }
-	items := []*batchItem{mk("SAF", "TF"), mk("CFin"), mk("TF", "ADF"), mk("CFid")}
-	groups := groupByOverlap(items)
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(groups))
+	first := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(`{"faults":"SAF,TF"}`))
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(s.sem) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("first leader never took the engine permit")
+		}
 	}
-	if len(groups[0]) != 2 || groups[0][0] != items[0] || groups[0][1] != items[2] {
-		t.Fatalf("overlap group wrong: %v", groups[0])
+
+	start := time.Now()
+	resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF", TimeoutMS: 100})
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("queued leader: status %d, want 504: %s", resp.StatusCode, raw)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil || e.Code != "deadline_exceeded" {
+		t.Fatalf("queued leader body: %s", raw)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("queued leader answered after %v, want its 100ms deadline honoured within 1s", elapsed)
+	}
+
+	open()
+	if st := <-first; st != http.StatusOK {
+		t.Fatalf("permit holder: status %d, want 200", st)
+	}
+	if got := s.run.Snapshot()["serve.engine_runs"]; got != 1 {
+		t.Fatalf("serve.engine_runs = %d, want 1: the expired leader must not reach the engine", got)
 	}
 }
 
