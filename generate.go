@@ -169,7 +169,7 @@ type Stats struct {
 	// PathCost can exceed this; the value is identical across solver
 	// modes and worker counts.
 	MinSelectionCost int
-	// Candidates is the number of rewrite candidates examined.
+	// Candidates is the number of rewrite candidates validated.
 	Candidates int
 	// Degraded reports that a soft budget (see WithBudget) ran out
 	// mid-run and the pipeline downgraded somewhere: the test is still

@@ -41,6 +41,9 @@ func TestTable3(t *testing.T) {
 	}
 	for _, row := range rows {
 		res := generate(t, row.list, DefaultOptions())
+		if res.UsedFallback {
+			t.Errorf("%s: the fallback search supplied %s", row.list, res.Test)
+		}
 		if res.Complexity != row.want {
 			t.Errorf("%s: generated %dn (%s), paper reports %dn",
 				row.list, res.Complexity, res.Test, row.want)

@@ -7,23 +7,38 @@
 //   - produce(i) is selection i's selection-local work: solve the exact
 //     ATSP of its reduced TPG (warm-started from the producer's previous
 //     solve) and assemble the rewrite candidates of every distinct
-//     optimal ordering. It reads nothing the fold writes;
+//     optimal ordering. The only fold state it reads is the incumbent
+//     cut;
 //   - fold(u) replays the order-dependent steps over produce's outcomes
 //     in ascending selection order: node-set deduplication, the
-//     candidate count and budget, the incumbent prune, simulator
+//     incumbent prune, the candidate count and budget, simulator
 //     validation, shrinking and better().
 //
-// The candidate stream produce hands the fold is a pure function of the
-// selection: the exact solver's strict-prune + lexLess offer rule makes
-// its returned tour set warm/cold-invariant (see internal/atsp), so which
-// previous solve warmed a producer changes solver effort, never the
-// patterns, and assembly is deterministic in the patterns. Everything
-// whose outcome depends on global sweep state — the incumbent prune,
-// whose threshold tracks the best test of all earlier selections, and
-// the first-seen tie-break in better() — runs in the fold alone, on
-// exactly the sequence of candidates a sequential loop would see. That
-// is why the same produce and fold serve two sweeps with byte-identical
-// output: inline, and fanned out over the worker pool (pool.Stream).
+// The incumbent prune skips every candidate of complexity at least the
+// best test's + 2, the cut. The fold publishes the cut whenever better()
+// accepts, and assembly reads it: the beam keeps only constructions of
+// fewer ops than the cut, so it never builds a candidate the fold would
+// skip (gts.AssembleMeter). That output is the prefix of the uncut
+// output holding every candidate under the cut, and the incumbent only
+// improves, so a producer's cut is never below the one the fold applies
+// later: the fold sees every candidate under its own live cut, in the
+// uncut order, whenever the producer read the cut. Only those are
+// counted and budgeted. A pooled producer that finds no cut published
+// yet leaves its selection's assembly to the fold, which assembles under
+// the cut it has by then.
+//
+// Apart from the cut, the candidate stream produce hands the fold is a
+// pure function of the selection: the exact solver's strict-prune +
+// lexLess offer rule makes its returned tour set warm/cold-invariant (see
+// internal/atsp), so which previous solve warmed a producer changes
+// solver effort, never the patterns, and assembly is deterministic in
+// the patterns and the cut. Everything whose outcome depends on global
+// sweep state — the incumbent prune, whose threshold tracks the best
+// test of all earlier selections, and the first-seen tie-break in
+// better() — runs in the fold alone, on exactly the candidates under its
+// cut that a sequential loop would see. That is why the same produce and
+// fold serve two sweeps with byte-identical output: inline, and fanned
+// out over the worker pool (pool.Stream).
 //
 // One-worker and budgeted runs produce inline: produce(i) and fold(i)
 // alternate on the caller's goroutine, assembly happens ordering by
@@ -38,6 +53,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"marchgen/fsm"
 	"marchgen/internal/budget"
@@ -54,8 +70,13 @@ import (
 // has.
 var errSweepStop = errors.New("core: sweep stopped")
 
+// disableAssemblyCut makes assembly run without the incumbent cut. Only
+// the differential test that proves the cut exact sets it.
+var disableAssemblyCut bool
+
 // sweep is one run of the selection sweep: produce's inputs, and the
-// fold's state, which only the caller's goroutine touches.
+// fold's state, which only the caller's goroutine touches except for the
+// published cut.
 type sweep struct {
 	m          *budget.Meter
 	selections []tpg.Selection
@@ -90,6 +111,10 @@ type sweep struct {
 	gen     *genContext
 	degrade func(string)
 	acc     foldState
+	// cut is the fold's incumbent bound, published for assembly: the
+	// fold stores incumbentCut(best) whenever better() accepts, and
+	// producers read it when they assemble.
+	cut atomic.Int64
 }
 
 // foldState is what the fold accumulates over the sweep.
@@ -133,14 +158,20 @@ type ordering struct {
 	err       error // soft assembly failure
 }
 
-// assemble folds the ordering's patterns into candidate March tests,
-// once. Only a hard error is returned; a soft one is kept in o.err.
-func (o *ordering) assemble(m *budget.Meter, beam gts.Options) error {
+// assemble folds ordering o's patterns into candidate March tests, once,
+// under the incumbent cut as it stands now: the beam builds no
+// construction the fold would prune. Only a hard error is returned; a
+// soft one is kept in o.err.
+func (s *sweep) assemble(o *ordering) error {
 	if o.assembled {
 		return nil
 	}
 	o.assembled = true
-	o.cands, o.err = gts.AssembleMeter(m, o.patterns, beam)
+	cut := int(s.cut.Load())
+	if disableAssemblyCut {
+		cut = 0
+	}
+	o.cands, o.err = gts.AssembleMeter(s.m, o.patterns, s.opts.Beam, cut)
 	if o.err != nil && budget.IsHard(o.err) {
 		return o.err
 	}
@@ -213,8 +244,11 @@ func (s *sweep) run(ctx context.Context) error {
 }
 
 // produce runs selection i's selection-local work on producer w. A
-// pooled producer assembles every ordering itself; inline, assembly is
-// left to the fold, ordering by ordering, as a sequential loop does it.
+// pooled producer assembles every ordering itself once the fold has
+// published a cut. Before that, and inline, assembly is left to the
+// fold, ordering by ordering, as a sequential loop does it: uncut
+// assembly ahead of the first incumbent would mostly build candidates
+// the fold then skips.
 func (s *sweep) produce(w, i int) (*selection, error) {
 	if !s.pooled {
 		s.enterSelect(i)
@@ -257,9 +291,9 @@ func (s *sweep) produce(w, i int) (*selection, error) {
 			u.orders = append(u.orders, ordering{patterns: p})
 		}
 	}
-	if s.pooled {
+	if s.pooled && s.cut.Load() > 0 {
 		for k := range u.orders {
-			if err := u.orders[k].assemble(s.m, s.opts.Beam); err != nil {
+			if err := s.assemble(&u.orders[k]); err != nil {
 				return nil, err
 			}
 		}
@@ -305,7 +339,7 @@ func (s *sweep) fold(u *selection) error {
 		o := &u.orders[k]
 		if !o.assembled {
 			s.stages.Enter("assemble")
-			if err := o.assemble(s.m, s.opts.Beam); err != nil {
+			if err := s.assemble(o); err != nil {
 				return err
 			}
 		}
@@ -314,15 +348,15 @@ func (s *sweep) fold(u *selection) error {
 			continue
 		}
 		for _, cand := range o.cands {
+			if cut := incumbentCut(acc.best); cut > 0 && cand.Complexity() >= cut {
+				continue // neither counted nor validated
+			}
 			if lim := s.opts.Budget.Candidates; lim > 0 && acc.candidates >= lim {
 				s.degrade("assemble")
 				return errSweepStop
 			}
 			acc.candidates++
 			s.prog.Candidates(int64(acc.candidates))
-			if acc.best != nil && cand.Complexity() >= acc.best.Complexity()+2 {
-				continue // too long to beat the incumbent even after shrinking
-			}
 			s.stages.Enter("validate")
 			ok := s.gen.complete(cand)
 			if s.gen.err != nil {
@@ -341,12 +375,24 @@ func (s *sweep) fold(u *selection) error {
 			if better(cand, acc.best) {
 				acc.best = cand
 				acc.bestNodes, acc.bestCost = u.nodes, u.cost
+				s.cut.Store(int64(incumbentCut(cand)))
 				s.prog.Best(int64(cand.Complexity()))
 			}
 		}
 		o.cands = nil // folded: release the candidates
 	}
 	return nil
+}
+
+// incumbentCut is the fold's prune bound: a candidate whose complexity
+// is at least best's + 2 is too long to beat best even after shrinking
+// (0: no incumbent, no cut). better() never accepts a longer test, so the
+// cut only falls over a sweep.
+func incumbentCut(best *march.Test) int {
+	if best == nil {
+		return 0
+	}
+	return best.Complexity() + 2
 }
 
 // await is the pooled stage clock. The fold's only idle time is waiting

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -51,17 +52,20 @@ func sweepWorkerCounts() []int {
 }
 
 // checkWorkerInvariance generates list under opts at one worker and at
-// every other worker count, and fails on any Result difference.
-func checkWorkerInvariance(t *testing.T, list string, opts Options) {
+// every other worker count, fails on any Result difference, and returns
+// the one-worker Result.
+func checkWorkerInvariance(t *testing.T, list string, opts Options) *Result {
 	t.Helper()
 	opts.Workers = 1
-	want := resultBytes(generate(t, list, opts))
+	res := generate(t, list, opts)
+	want := resultBytes(res)
 	for _, workers := range sweepWorkerCounts() {
 		opts.Workers = workers
 		if got := resultBytes(generate(t, list, opts)); got != want {
 			t.Errorf("%s workers=%d:\n got %s\nwant %s", list, workers, got, want)
 		}
 	}
+	return res
 }
 
 // TestSweepWorkerInvariance locks the produce/fold contract: the pooled
@@ -99,12 +103,54 @@ func TestSweepWorkerInvarianceRandomLists(t *testing.T) {
 
 // TestSweepBudgetedRunsInline locks that budgeted runs keep the
 // sequential sweep whatever the worker count: their degrade points and
-// results match one worker exactly.
+// results match one worker exactly. The candidate budget must trip on
+// this row, or the case would stop exercising it.
 func TestSweepBudgetedRunsInline(t *testing.T) {
-	for _, b := range []budget.Budget{{ATSPNodes: 40}, {Candidates: 300}, {Selections: 9}} {
+	for _, b := range []budget.Budget{{ATSPNodes: 40}, {Candidates: 10}, {Selections: 9}} {
 		opts := DefaultOptions()
 		opts.Budget = b
-		checkWorkerInvariance(t, "SAF,TF,ADF,CFin", opts)
+		res := checkWorkerInvariance(t, "SAF,TF,ADF,CFin", opts)
+		if b.Candidates > 0 && !slices.Contains(res.DegradedStages, "assemble") {
+			t.Errorf("budget %+v: one worker degraded %v, want assemble", b, res.DegradedStages)
+		}
+	}
+}
+
+// TestIncumbentCutExact proves the assembly cut exact: with assembly
+// uncut, every Table 3 row and random list yields the same Result at
+// one worker and pooled — Candidates included, since the fold counts
+// only the candidates under its own live cut. It flips a package
+// variable, so it must not run in parallel.
+func TestIncumbentCutExact(t *testing.T) {
+	uncut := func(list string, opts Options) *Result {
+		disableAssemblyCut = true
+		defer func() { disableAssemblyCut = false }()
+		return generate(t, list, opts)
+	}
+	for _, list := range append(slices.Clone(table3Lists), randomSublists()...) {
+		for _, workers := range []int{1, 2} {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			got, want := resultBytes(generate(t, list, opts)), resultBytes(uncut(list, opts))
+			if got != want {
+				t.Errorf("%s workers=%d:\n  cut %s\nuncut %s", list, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestAssemblyCounters pins the gts counters that explain an assembly
+// stage's cost: on SAF,TF,ADF,CFin the incumbent cut drops successors and
+// leaves some calls with no construction under it. Pooled counts depend
+// on when a producer reads the cut, so only one worker is pinned.
+func TestAssemblyCounters(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 1
+	opts.Obs = obs.NewRun()
+	m := generate(t, "SAF,TF,ADF,CFin", opts).Metrics
+	calls, expanded, cut, empty := m["gts.assemble.calls"], m["gts.assemble.expanded"], m["gts.assemble.cut"], m["gts.assemble.empty"]
+	if expanded <= 0 || cut <= 0 || empty <= 0 || empty > calls {
+		t.Errorf("calls %d, expanded %d, cut %d, empty %d: want expanded, cut > 0 and 0 < empty <= calls", calls, expanded, cut, empty)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"marchgen/fsm"
 	"marchgen/internal/budget"
+	"marchgen/internal/obs"
 	"marchgen/march"
 )
 
@@ -196,13 +197,21 @@ func (o Options) WithDefaults() Options {
 // patterns structurally; the caller must still validate fault coverage
 // against the real fault machines.
 func Assemble(patterns []fsm.Pattern, opts Options) ([]*march.Test, error) {
-	return AssembleMeter(nil, patterns, opts)
+	return AssembleMeter(nil, patterns, opts, 0)
 }
 
-// AssembleMeter is Assemble under a budget meter: the beam aborts with a
-// typed error when the caller's context is canceled (nil meter: unbounded).
-// Non-positive option fields take their defaults (Options.WithDefaults).
-func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options) ([]*march.Test, error) {
+// AssembleMeter is Assemble under a budget meter and a cut: the beam
+// aborts with a typed error when the caller's context is canceled (nil
+// meter: unbounded), and keeps only constructions of fewer than cut
+// operations (0: no cut). Non-positive option fields take their defaults
+// (Options.WithDefaults).
+//
+// A construction's cost never falls along the beam and its closed test
+// adds at most one trailing read, so the output under a cut is the prefix
+// of the uncut output that holds every test of complexity below cut, and
+// no test in it exceeds cut. When no construction is left under the cut
+// the call returns no candidates and no error.
+func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options, cut int) ([]*march.Test, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("gts: no patterns to assemble")
 	}
@@ -219,11 +228,16 @@ func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options) ([]*m
 	if err != nil {
 		return nil, err
 	}
-	x := &expander{oracle: orc, seen: map[string]bool{}}
+	x := &expander{oracle: orc, seen: map[string]bool{}, cut: cut}
+	defer x.publish(mt)
 	beam := []*state{{pre: march.X, end: march.X, snap: orc.root}}
 	for k, s := range shapes {
 		if beam, err = x.step(mt, beam, k, s, opts.BeamWidth); err != nil {
 			return nil, err
+		}
+		if len(beam) == 0 {
+			x.empty = true
+			return nil, nil // nothing under the cut
 		}
 	}
 	var out []*march.Test
@@ -275,10 +289,34 @@ type expander struct {
 	scratch  state
 	elems    []march.Element // scratch element headers
 	ops      []march.Op      // scratch copy of the open element's ops
+
+	// cut is the exclusive bound on a kept state's cost (0: none).
+	cut int
+	// The call's counters, published once by publish: beam states
+	// expanded, successors at or past the cut, and whether the beam ran
+	// empty under the cut.
+	expanded, dropped int
+	empty             bool
+}
+
+// publish adds the call's counters to the observability run of mt's
+// context, if any.
+func (x *expander) publish(mt *budget.Meter) {
+	run := obs.From(mt.Context())
+	if run == nil {
+		return
+	}
+	run.Counter("gts.assemble.calls").Inc()
+	run.Counter("gts.assemble.expanded").Add(int64(x.expanded))
+	run.Counter("gts.assemble.cut").Add(int64(x.dropped))
+	empty := run.Counter("gts.assemble.empty") // registered even at zero
+	if x.empty {
+		empty.Inc()
+	}
 }
 
 // step extends the beam by pattern k (shape s) and returns the next beam
-// of at most width states.
+// of at most width states, empty when no successor is under the cut.
 func (x *expander) step(mt *budget.Meter, beam []*state, k int, s shape, width int) ([]*state, error) {
 	if err := mt.CheckNow(); err != nil {
 		return nil, err
@@ -291,6 +329,7 @@ func (x *expander) step(mt *budget.Meter, beam []*state, k int, s shape, width i
 		}
 		x.expand(i, st, k)
 	}
+	x.expanded += len(beam)
 	if len(x.succ) == 0 {
 		return nil, fmt.Errorf("gts: no construction realises pattern %s", s.pattern)
 	}
@@ -351,13 +390,20 @@ func (x *expander) record(parent, rewrite int, c *state) {
 }
 
 // prune orders the step's successors by cost (ties: fewer elements, then
-// recording order), drops duplicate constructions, and builds the first
-// width as the next beam.
+// recording order), drops those at or past the cut and duplicate
+// constructions, and builds the first width as the next beam. The cut
+// only removes a suffix of the order, so the successors under it keep
+// their relative order and deduplication outcome.
 func (x *expander) prune(beam []*state, width int) []*state {
 	slices.Sort(x.order)
+	under := len(x.order)
+	if x.cut > 0 {
+		under, _ = slices.BinarySearch(x.order, uint64(x.cut)<<48)
+		x.dropped += len(x.order) - under
+	}
 	clear(x.seen)
-	next := make([]*state, 0, min(width, len(x.succ)))
-	for _, o := range x.order {
+	next := make([]*state, 0, min(width, under))
+	for _, o := range x.order[:under] {
 		sc := x.succ[uint32(o)]
 		key := x.keys[sc.lo:sc.hi]
 		if x.seen[string(key)] {

@@ -230,25 +230,32 @@ func TestStatePrimitives(t *testing.T) {
 }
 
 // TestAssembleOptionDefaults checks that non-positive option fields take
-// their defaults one by one: a zero candidate cap no longer collapses the
-// result to a single candidate.
+// their defaults one by one — a zero candidate cap no longer collapses the
+// result to a single candidate — and that a positive cap keeps exactly
+// the defaults' first candidates.
 func TestAssembleOptionDefaults(t *testing.T) {
 	pats, _ := patternsOf(t, "SAF,TF,CFin")
 	want, err := Assemble(pats, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{{}, {BeamWidth: 48}, {MaxCandidates: -1}} {
-		got, err := Assemble(pats, opts)
+	if len(want) < 3 {
+		t.Fatalf("defaults give %d candidates, want at least 3", len(want))
+	}
+	for _, c := range []struct {
+		opts Options
+		n    int
+	}{{Options{}, len(want)}, {Options{BeamWidth: 48}, len(want)}, {Options{MaxCandidates: -1}, len(want)}, {Options{MaxCandidates: 2}, 2}} {
+		got, err := Assemble(pats, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) || len(want) < 2 {
-			t.Fatalf("options %+v: %d candidates, defaults give %d", opts, len(got), len(want))
+		if len(got) != c.n {
+			t.Fatalf("options %+v: %d candidates, want %d", c.opts, len(got), c.n)
 		}
 		for k := range got {
 			if got[k].String() != want[k].String() {
-				t.Errorf("options %+v: candidate %d is %s, want %s", opts, k, got[k], want[k])
+				t.Errorf("options %+v: candidate %d is %s, want %s", c.opts, k, got[k], want[k])
 			}
 		}
 	}

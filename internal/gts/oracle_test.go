@@ -2,6 +2,7 @@ package gts
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"marchgen/fault"
@@ -194,18 +195,73 @@ func primitives(tb testing.TB) []fsm.Pattern {
 	return out
 }
 
-// FuzzAssemble assembles random sequences of test primitives: every
-// coverage verdict must match the scalar reference, and every returned
-// candidate must be self-consistent on a fault-free memory.
+// checkCut assembles pats under cut and checks the result against want
+// and wantErr, the uncut assembly's: the cut output is a prefix of want
+// that holds every test of want with complexity below cut, no test in it
+// exceeds cut, and an uncut error may only become an empty, error-free
+// output. Cut 0 is no cut, so the outputs must be equal.
+func checkCut(tb testing.TB, pats []fsm.Pattern, want []*march.Test, wantErr error, cut int) {
+	tb.Helper()
+	got, err := AssembleMeter(nil, pats, DefaultOptions(), cut)
+	switch {
+	case err != nil && wantErr == nil:
+		tb.Fatalf("cut %d: %v, but uncut assembly succeeds", cut, err)
+	case wantErr != nil && len(got) > 0:
+		tb.Fatalf("cut %d: %d candidates, but uncut assembly fails: %v", cut, len(got), wantErr)
+	case err != nil || wantErr != nil:
+		return
+	}
+	limit := cut
+	if cut == 0 {
+		limit = math.MaxInt
+	}
+	if len(got) > len(want) {
+		tb.Fatalf("cut %d: %d candidates, uncut only %d", cut, len(got), len(want))
+	}
+	for k, c := range got {
+		if c.String() != want[k].String() {
+			tb.Fatalf("cut %d: candidate %d is %s, uncut %s", cut, k, c, want[k])
+		}
+		if c.Complexity() > limit {
+			tb.Fatalf("cut %d: candidate %s is %dn", cut, c, c.Complexity())
+		}
+	}
+	for _, c := range want[len(got):] {
+		if c.Complexity() < limit {
+			tb.Fatalf("cut %d dropped %s (%dn)", cut, c, c.Complexity())
+		}
+	}
+}
+
+// TestAssembleCutTable3 checks the cut's contract on the optimal
+// orderings of all six Table 3 rows, at cuts around each row's published
+// complexity: the fold's cut is the incumbent's complexity + 2.
+func TestAssembleCutTable3(t *testing.T) {
+	complexity := []int{4, 5, 6, 6, 10, 5}
+	for r, list := range table3Rows {
+		for _, pats := range optimalOrderings(t, list) {
+			want, err := Assemble(pats, DefaultOptions())
+			for cut := complexity[r]; cut <= complexity[r]+3; cut++ {
+				checkCut(t, pats, want, err, cut)
+			}
+		}
+	}
+}
+
+// FuzzAssemble assembles random sequences of test primitives, uncut and
+// under a random cut: every coverage verdict must match the scalar
+// reference, every returned candidate must be self-consistent on a
+// fault-free memory, and the cut output must keep checkCut's contract.
 func FuzzAssemble(f *testing.F) {
 	pool := primitives(f)
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{7, 3, 11, 40, 2, 19})
-	f.Add([]byte{200, 13, 77, 5, 150, 91, 33, 120})
-	f.Add([]byte{9, 9, 9, 250, 64, 128, 31, 17, 100, 42})
-	f.Fuzz(func(t *testing.T, picks []byte) {
+	f.Add(byte(0), []byte{})
+	f.Add(byte(3), []byte{0})
+	f.Add(byte(6), []byte{0, 1, 2, 3})
+	f.Add(byte(8), []byte{7, 3, 11, 40, 2, 19})
+	f.Add(byte(12), []byte{200, 13, 77, 5, 150, 91, 33, 120})
+	f.Add(byte(0), []byte{9, 9, 9, 250, 64, 128, 31, 17, 100, 42})
+	f.Add(byte(10), []byte{9, 9, 9, 250, 64, 128, 31, 17, 100, 42})
+	f.Fuzz(func(t *testing.T, cut byte, picks []byte) {
 		if len(picks) > 12 {
 			picks = picks[:12]
 		}
@@ -215,6 +271,7 @@ func FuzzAssemble(f *testing.F) {
 		}
 		checkAgainstScalar(t)
 		cands, err := Assemble(pats, DefaultOptions())
+		checkCut(t, pats, cands, err, int(cut%32))
 		if err != nil {
 			return // empty, or no construction realises the sequence
 		}
