@@ -43,7 +43,6 @@ func run() int {
 	stats := flag.Bool("stats", false, "print pipeline statistics")
 	ascii := flag.Bool("ascii", false, "print the test in 7-bit notation")
 	heuristic := flag.Bool("heuristic", false, "use the heuristic ATSP solver (faster, possibly suboptimal)")
-	solver := flag.String("solver", "", "exact-sweep solver mode: enumerate, warm or joint (empty: warm); the generated test is identical in every mode")
 	verify := flag.Bool("verify", true, "print the coverage/non-redundancy verdict")
 	timeout := flag.Duration("timeout", 0, "hard deadline; past it the run aborts (0: none)")
 	budgetSpec := flag.String("budget", "", "soft resource budget, e.g. nodes=100000,selections=16,candidates=200,soft=2s (exhaustion degrades instead of failing)")
@@ -84,15 +83,6 @@ func run() int {
 	opts := []marchgen.Option{marchgen.WithWorkers(w)}
 	if *heuristic {
 		opts = append(opts, marchgen.WithHeuristicATSP())
-	}
-	switch *solver {
-	case "", marchgen.SolverEnumerate, marchgen.SolverWarm, marchgen.SolverJoint:
-		if *solver != "" {
-			opts = append(opts, marchgen.WithSolverMode(*solver))
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "marchgen: unknown -solver mode %q (want enumerate, warm or joint)\n", *solver)
-		return budget.ExitUsage
 	}
 	if *budgetSpec != "" {
 		b, err := marchgen.ParseBudget(*budgetSpec)

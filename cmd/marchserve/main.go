@@ -72,7 +72,6 @@ func run() int {
 	budgetSpec := flag.String("budget", "", "default soft budget for generate requests, e.g. nodes=100000,soft=2s")
 	workers := flag.Int("workers", 0, "default engine worker-pool size for the selection sweep, simulation and exact ATSP (0: GOMAXPROCS)")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
-	solver := flag.String("solver", "", "default exact-sweep solver mode: enumerate, warm or joint (empty: warm)")
 	peers := flag.String("peers", "", "comma-separated replica addresses forming a replica set with this server (must include -addr)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -87,12 +86,6 @@ func run() int {
 	w, err := budget.ParseWorkers(*workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marchserve:", err)
-		return budget.ExitUsage
-	}
-	switch *solver {
-	case "", marchgen.SolverEnumerate, marchgen.SolverWarm, marchgen.SolverJoint:
-	default:
-		fmt.Fprintf(os.Stderr, "marchserve: unknown -solver mode %q (want enumerate, warm or joint)\n", *solver)
 		return budget.ExitUsage
 	}
 	peerList := splitPeers(*peers)
@@ -136,7 +129,6 @@ func run() int {
 		Obs:            orun,
 		Self:           *addr,
 		Peers:          peerList,
-		SolverMode:     *solver,
 	})
 	if st != nil {
 		fmt.Fprintf(os.Stderr, "marchserve: job store %s (%d incomplete jobs re-adopted)\n", *storeDir, srv.RecoveredJobs())

@@ -50,33 +50,6 @@ func WithBeamWidth(n int) Option {
 	return func(o *core.Options) { o.Beam.BeamWidth = n }
 }
 
-// Solver modes for WithSolverMode. The generated test and every statistic
-// except timing and solver-effort metrics are byte-identical in all modes.
-const (
-	// SolverEnumerate solves every §5 class selection cold (the historic
-	// behaviour, kept for differential testing and baselines).
-	SolverEnumerate = core.SolverEnumerate
-	// SolverWarm (the default) threads each selection's solution into the
-	// next exact solve as a branch-and-bound warm start, and primes warm
-	// incumbents from cost fragments persisted by earlier runs when a
-	// durable cache tier is attached.
-	SolverWarm = core.SolverWarm
-	// SolverJoint is SolverWarm plus a joint search over the selection
-	// tree itself: duplicate selection subtrees are pruned up front and a
-	// bounded certificate pass confirms the cheapest selection over the
-	// full, untrimmed choice product (reported in Stats.Metrics under
-	// core.joint.*).
-	SolverJoint = core.SolverJoint
-)
-
-// WithSolverMode selects how the selection sweep drives the exact ATSP
-// solver: SolverEnumerate, SolverWarm or SolverJoint. Modes only change
-// solver effort — node counts, timings and mode-specific metrics — never
-// the generated test. An unknown mode is rejected with ErrUsage.
-func WithSolverMode(mode string) Option {
-	return func(o *core.Options) { o.SolverMode = mode }
-}
-
 // WithWorkers bounds the generation worker pool: the §5 selection sweep
 // (each selection's exact solve and assembly), per-fault simulation,
 // coverage-matrix rows and exact-ATSP subtree exploration fan out over at
@@ -166,8 +139,8 @@ type Stats struct {
 	// MinSelectionCost is the cheapest exact visit cost over every
 	// deduplicated selection the sweep solved (0 when none was solved
 	// exactly). The winner is picked by validated test quality, so
-	// PathCost can exceed this; the value is identical across solver
-	// modes and worker counts.
+	// PathCost can exceed this; the value is identical at any worker
+	// count.
 	MinSelectionCost int
 	// Candidates is the number of rewrite candidates validated.
 	Candidates int

@@ -48,11 +48,6 @@ var bbBoundHook func(w Matrix, lb int)
 type bbNode struct {
 	w  Matrix
 	ap *apState
-	// lag carries the Lagrangian multipliers of the nearest escalated
-	// ancestor (nil: none), warm-starting this node's own escalation the
-	// same way ap reuses the parent's reduced costs. Shared read-only
-	// down the subtree; lagrangeBound copies before updating.
-	lag []int
 }
 
 // release returns the node's matrix and assignment state to their pools.
@@ -73,7 +68,7 @@ func (nd *bbNode) release() {
 func bbBranch(nd bbNode, rowToCol []int, cycle []int) []bbNode {
 	children := make([]bbNode, 0, len(cycle))
 	for k := 0; k < len(cycle); k++ {
-		child := bbNode{w: cloneInto(nd.w), ap: nd.ap.clonePooled(), lag: nd.lag}
+		child := bbNode{w: cloneInto(nd.w), ap: nd.ap.clonePooled()}
 		forbid := func(i, j int) {
 			if child.w[i][j] < Inf {
 				child.w[i][j] = Inf
@@ -150,13 +145,6 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 	}
 	s := &bbShared{orig: m, mt: mt, queues: make([]bbQueue, workers), prog: run.Progress()}
 	s.bound.Store(unset)
-	// Slackness windows start saturated (every bit a prune), so the
-	// Lagrangian rung engages only after the AP bound has demonstrably
-	// gone slack over a window of real expansions.
-	s.windows = make([]slackWindow, workers)
-	for i := range s.windows {
-		s.windows[i] = ^slackWindow(0)
-	}
 	rootExpanded, rootPruned := 0, 0
 	defer func() {
 		// Aggregated totals: deterministic for one worker (the explored
@@ -168,8 +156,6 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 		run.Counter("atsp.bb.expanded").Add(expanded)
 		run.Counter("atsp.bb.pruned").Add(pruned)
 		run.Counter("atsp.bb.steals").Add(s.steals.Load())
-		run.Counter("atsp.bb.escalated").Add(s.escalated.Load())
-		run.Counter("atsp.bb.escpruned").Add(s.escPruned.Load())
 		s.prog.AddNodes(int64(rootExpanded))
 		if workers == 1 {
 			sp.SetInt("expanded", expanded).SetInt("pruned", pruned)

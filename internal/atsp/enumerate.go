@@ -173,3 +173,63 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 	}
 	return paths, best, nil
 }
+
+// enumEscalateMinRemaining is the smallest unvisited remainder for which
+// the optimal-path enumeration escalates to the assignment bound (below
+// it the cheap min-out bound is already near exact and the O(k³) solve
+// pure overhead).
+const enumEscalateMinRemaining = 3
+
+// enumAPBound is the enumeration's second rung: an admissible assignment
+// bound on the cheapest completion of a partial path about to step onto
+// v. Rows are {v} ∪ R (R = unvisited minus v), columns R plus an end
+// column: v must exit into R, every node of R is entered exactly once,
+// and exactly one row — the path's final node — takes the free end
+// column. Every feasible suffix induces such an assignment, so the
+// optimal assignment lower-bounds the suffix cost. rem is caller-owned
+// scratch of length ≥ len(m).
+func enumAPBound(m Matrix, visited []bool, v int, rem []int) int {
+	k := 0
+	for w := 0; w < len(m); w++ {
+		if !visited[w] && w != v {
+			rem[k] = w
+			k++
+		}
+	}
+	sub := matrixFor(k + 1)
+	for j := 0; j < k; j++ {
+		sub[0][j] = m[v][rem[j]]
+	}
+	sub[0][k] = Inf // v is not the final node: it must exit into R
+	for i := 0; i < k; i++ {
+		ri := rem[i]
+		for j := 0; j < k; j++ {
+			if i == j {
+				sub[i+1][j] = Inf
+			} else {
+				sub[i+1][j] = m[ri][rem[j]]
+			}
+		}
+		sub[i+1][k] = 0 // the path may end at any remaining node, free
+	}
+	lb := assignmentCost(sub)
+	releaseMatrix(sub)
+	return lb
+}
+
+// assignmentCost solves the linear assignment problem on m with a pooled
+// state and returns only the optimal cost.
+func assignmentCost(m Matrix) int {
+	s := apStateFor(len(m))
+	for i := 1; i <= s.n; i++ {
+		if s.row[i] == 0 {
+			s.augment(m, i)
+		}
+	}
+	cost := 0
+	for i := 1; i <= s.n; i++ {
+		cost += m[i-1][s.row[i]-1]
+	}
+	s.release()
+	return cost
+}

@@ -67,19 +67,12 @@ type bbShared struct {
 	errMu sync.Mutex
 	err   error
 
-	// expanded/pruned/steals/escalated/escPruned aggregate the workers'
-	// search effort for the observability metrics; each worker
-	// accumulates locally and flushes once on exit, so the hot loop
-	// stays free of shared writes.
-	expanded  atomic.Int64
-	pruned    atomic.Int64
-	steals    atomic.Int64
-	escalated atomic.Int64
-	escPruned atomic.Int64
-
-	// windows holds one slackness window per worker (each written only
-	// by its owner): the escalation trigger of the bound ladder.
-	windows []slackWindow
+	// expanded/pruned/steals aggregate the workers' search effort for
+	// the observability metrics; each worker accumulates locally and
+	// flushes once on exit, so the hot loop stays free of shared writes.
+	expanded atomic.Int64
+	pruned   atomic.Int64
+	steals   atomic.Int64
 }
 
 // bbQueue is one worker's deque of open subproblems: the owner pushes and
@@ -155,13 +148,11 @@ func (s *bbShared) offer(cycle []int) {
 // empty, exiting when every open subproblem has been expanded. Search
 // effort is counted in locals and flushed to the shared totals once.
 func (s *bbShared) worker(id int) {
-	var expanded, pruned, steals, escalated, escPruned, flushed int64
+	var expanded, pruned, steals, flushed int64
 	defer func() {
 		s.expanded.Add(expanded)
 		s.pruned.Add(pruned)
 		s.steals.Add(steals)
-		s.escalated.Add(escalated)
-		s.escPruned.Add(escPruned)
 		s.prog.AddNodes(expanded - flushed)
 	}()
 	for {
@@ -190,7 +181,7 @@ func (s *bbShared) worker(id int) {
 			runtime.Gosched()
 			continue
 		}
-		s.expand(id, nd, &expanded, &pruned, &escalated, &escPruned)
+		s.expand(id, nd, &expanded, &pruned)
 		s.outstanding.Add(-1)
 	}
 }
@@ -203,15 +194,7 @@ func (s *bbShared) worker(id int) {
 // bound ties the incumbent may still hold an equal-cost tour that wins the
 // lexicographic tie-break, and exploring all of them is what makes the
 // returned tour schedule-independent.
-//
-// When the assignment bound fails to prune and the worker's slackness
-// window shows it has been failing lately, the node climbs the bound
-// ladder: the Lagrangian 1-arborescence bound (see escalate.go),
-// warm-started from the nearest escalated ancestor's multipliers,
-// replaces the AP bound when stronger. Any admissible bound preserves
-// the strict-prune contract, so escalation moves node counts, never the
-// returned tour.
-func (s *bbShared) expand(id int, nd bbNode, expanded, pruned, escalated, escPruned *int64) {
+func (s *bbShared) expand(id int, nd bbNode, expanded, pruned *int64) {
 	if err := s.mt.Node(); err != nil {
 		s.fail(err)
 		nd.release()
@@ -219,28 +202,11 @@ func (s *bbShared) expand(id int, nd bbNode, expanded, pruned, escalated, escPru
 	}
 	*expanded++
 	rowToCol, lb := nd.ap.solve(nd.w)
-	inc := s.bound.Load()
-	apPruned := int64(lb) > inc || lb >= Inf
-	didEscalate := false
-	if !apPruned && inc != unset && len(nd.w) >= bbEscalateMinN &&
-		(bbForceEscalate || s.windows[id].slack()) {
-		didEscalate = true
-		*escalated++
-		lag, mult := lagrangeBound(nd.w, nd.lag, int(inc))
-		nd.lag = mult
-		if lag > lb {
-			lb = lag
-		}
-	}
 	if hook := bbBoundHook; hook != nil {
 		hook(nd.w, lb)
 	}
-	s.windows[id].record(apPruned)
 	if int64(lb) > s.bound.Load() || lb >= Inf {
 		*pruned++
-		if didEscalate && !apPruned {
-			*escPruned++
-		}
 		nd.release()
 		return
 	}

@@ -1,10 +1,11 @@
 // Allocation reuse for the branch-and-bound hot path. Every expanded
 // subproblem used to allocate a fresh constrained matrix, a fresh
-// assignment-state clone and fresh augmenting-search scratch; the deeper
-// trees the escalated bounds explore made that a measurable GC tax. The
-// pools below recycle all three: a node returns its matrix and assignment
-// state the moment it has been expanded (pruned, recorded or branched),
-// and the next expansion reuses them without touching the allocator.
+// assignment-state clone and fresh augmenting-search scratch, and the
+// enumeration's assignment rung a scratch matrix per bound: a measurable
+// GC tax. The pools below recycle all three: a node returns its matrix and
+// assignment state the moment it has been expanded (pruned, recorded or
+// branched), and the next expansion reuses them without touching the
+// allocator.
 //
 // Safety argument: a bbNode is expanded exactly once, by exactly one
 // worker, and nothing outlives the expansion that references its matrix

@@ -54,13 +54,6 @@ type Options struct {
 	// DisableEquivalence forces one TPG node per BFE instead of one per
 	// equivalence class (the Section 5 ablation).
 	DisableEquivalence bool
-	// SolverMode selects how the selection sweep drives the exact solver:
-	// SolverWarm (the default, also chosen by ""), SolverEnumerate or
-	// SolverJoint — see the constants in joint.go. The generated test and
-	// every Result field are byte-identical in all modes; only solver
-	// effort (node counts, timings, mode-specific metrics) differs. An
-	// unknown mode is rejected with budget.ErrUsage.
-	SolverMode string
 	// DisableFallback turns off the bounded branch-and-bound fallback
 	// used when an exotic user-defined fault falls outside the rewrite
 	// grammar (the pipeline then fails instead of searching).
@@ -121,7 +114,7 @@ type Result struct {
 	// deduplicated selection the sweep solved exactly (0 when none was).
 	// The winning selection is chosen by validated test quality, not by
 	// this figure, so it can exceed MinSelectionCost; the value is
-	// identical across solver modes and worker counts.
+	// identical at any worker count.
 	MinSelectionCost int
 	// Candidates counts the rewrite candidates validated.
 	Candidates int
@@ -142,9 +135,8 @@ type Result struct {
 	// are byte-identical to the run that produced them.
 	FromCache bool
 	// StageElapsed is the wall-clock time per pipeline stage ("expand",
-	// "select", "atsp", "assemble", "validate", "shrink", "certify",
-	// "fallback", "finalize"). The windows are measured at stage
-	// boundaries and
+	// "select", "atsp", "assemble", "validate", "shrink", "fallback",
+	// "finalize"). The windows are measured at stage boundaries and
 	// partition the run's wall time: they never overlap, and a degraded
 	// or cancelled stage still reports the window it actually occupied.
 	StageElapsed map[string]time.Duration
@@ -184,15 +176,6 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	opts.Beam = opts.Beam.WithDefaults()
 	if err := opts.Budget.Validate(); err != nil {
 		return nil, err
-	}
-	mode := opts.SolverMode
-	if mode == "" {
-		mode = SolverWarm
-	}
-	switch mode {
-	case SolverEnumerate, SolverWarm, SolverJoint:
-	default:
-		return nil, fmt.Errorf("core: unknown solver mode %q: %w", opts.SolverMode, budget.ErrUsage)
 	}
 	workers, err := budget.ParseWorkers(opts.Workers)
 	if err != nil {
@@ -295,11 +278,9 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	if err := m.CheckNow(); err != nil {
 		return nil, err
 	}
-	truncated := false
 	if lim := opts.Budget.Selections; lim > 0 && lim < len(selections) {
 		selections = selections[:lim]
 		degrade("select")
-		truncated = true
 	}
 
 	res.Instances = instances
@@ -323,13 +304,9 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	sw := &sweep{
 		m:          m,
 		selections: selections,
-		// Warm-start threading (warm and joint modes): each producer's
-		// previous first optimal ordering seeds its next solve's incumbent.
-		order: orderConfig{
-			exact:    opts.Exact,
-			workers:  workers,
-			preferBB: mode != SolverEnumerate,
-		},
+		// Warm-start threading: each producer's previous first optimal
+		// ordering seeds its next solve's incumbent.
+		order:   orderConfig{exact: opts.Exact, workers: workers},
 		opts:    opts,
 		cache:   cache,
 		workers: workers,
@@ -340,18 +317,7 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		acc:     newFoldState(),
 	}
 	stages.Enter("select")
-	// The joint mode prunes duplicate selection subtrees up front; the
-	// mask only exists when the list is the complete lexicographic
-	// product (a budget truncation breaks the contiguity argument — see
-	// jointSkips).
-	var jointSkip []bool
-	if mode == SolverJoint && !truncated {
-		var prunedSubtrees, skippedLeaves int
-		jointSkip, prunedSubtrees, skippedLeaves = jointSkips(classes, selections)
-		run.Counter("core.joint.subtrees_pruned").Add(int64(prunedSubtrees))
-		run.Counter("core.joint.leaves_skipped").Add(int64(skippedLeaves))
-	}
-	sw.reduce(classes, jointSkip)
+	sw.reduce(classes)
 	if err := sw.run(ctx); err != nil && err != errSweepStop {
 		return nil, err
 	}
@@ -362,16 +328,6 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	}
 	if sw.acc.minSel >= 0 {
 		res.MinSelectionCost = sw.acc.minSel
-	}
-	if mode == SolverJoint && opts.Exact && opts.Budget.Unlimited() {
-		// The optimality certificate explores the *full* choice product
-		// (metrics only — the Result is already fixed by the sweep above).
-		// Budgeted runs skip it: a budget is a statement about this run's
-		// resources, and the certificate is strictly extra work.
-		stages.Enter("certify")
-		if err := runCertificate(m, classes, sw.acc.selCost, sw.acc.minSel, workers, cache, run); err != nil {
-			return nil, err
-		}
 	}
 	if best == nil && !opts.DisableFallback {
 		stages.Enter("fallback")
@@ -645,11 +601,8 @@ type orderConfig struct {
 	exact bool
 	// workers is the exact solver's fan-out.
 	workers int
-	// preferBB routes exact cost solves to the warm-startable assignment
-	// branch and bound instead of Held–Karp (the warm and joint modes).
-	preferBB bool
 	// warm is the previous selection's pattern ordering, threaded through
-	// the sweep as the next solve's incumbent seed (preferBB only).
+	// the sweep as the next solve's incumbent seed.
 	warm []fsm.Pattern
 }
 
@@ -696,26 +649,23 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 			}
 		}
 		if paths == nil {
-			var warmPath []int
-			if cfg.preferBB {
-				warmPath = warmFromPrev(g, nodes, starts, cfg.warm)
-				if cache != nil {
-					// A cost fragment left by an earlier run (or the joint
-					// certificate) competes with the sweep neighbour for the
-					// warm incumbent: the cheaper path primes harder, and on
-					// a restart the fragment is often exactly optimal, so the
-					// solve short-circuits at the root. Fragments crossing a
-					// process boundary are validated before use, and a tie
-					// keeps the sweep neighbour — runs without a disk tier
-					// behave exactly as before. Warm paths prime node counts
-					// only, never the returned orderings (see PathOptions).
-					if v, ok := cache.Get(tpgCostKey(g, starts)); ok {
-						obs.From(m.Context()).Counter("memo.tpgcost_hits").Inc()
-						if fp := v.(*tpgCostFragment).path; validWarmPath(fp, len(nodes)) {
-							if warmPath == nil || visitCost(g, starts, fp) < visitCost(g, starts, warmPath) {
-								obs.From(m.Context()).Counter("core.warm.primed").Inc()
-								warmPath = fp
-							}
+			warmPath := warmFromPrev(g, nodes, starts, cfg.warm)
+			if cache != nil {
+				// A cost fragment left by an earlier run competes with the
+				// sweep neighbour for the warm incumbent: the cheaper path
+				// primes harder, and on a restart the fragment is often
+				// exactly optimal, so the solve short-circuits at the root.
+				// Fragments crossing a process boundary are validated before
+				// use, and a tie keeps the sweep neighbour — runs without a
+				// disk tier behave exactly as before. Warm paths prime node
+				// counts only, never the returned orderings (see
+				// PathOptions).
+				if v, ok := cache.Get(tpgCostKey(g, starts)); ok {
+					obs.From(m.Context()).Counter("memo.tpgcost_hits").Inc()
+					if fp := v.(*tpgCostFragment).path; validWarmPath(fp, len(nodes)) {
+						if warmPath == nil || visitCost(g, starts, fp) < visitCost(g, starts, warmPath) {
+							obs.From(m.Context()).Counter("core.warm.primed").Inc()
+							warmPath = fp
 						}
 					}
 				}
@@ -723,7 +673,7 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 			var err error
 			paths, cost, err = atsp.OptimalPathsOpt(m, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{
 				Workers:  cfg.workers,
-				PreferBB: cfg.preferBB,
+				PreferBB: true,
 				WarmPath: warmPath,
 			})
 			switch {
@@ -759,42 +709,6 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 		orders = append(orders, forward, backward)
 	}
 	return orders, cost + total, exactCost, nil
-}
-
-// selectionCost is the joint certificate's leaf solve: the exact visit
-// cost of one reduced node set, computed cost-only (the warm shortcut may
-// return any optimal tour) and memoised under the tpgcost namespace.
-func selectionCost(m *budget.Meter, nodes []tpg.Node, workers int, cache *memo.Cache) (int, error) {
-	g := tpg.New(nodes)
-	if len(nodes) == 1 {
-		return g.StartCost(0) + g.NodeCost(0), nil
-	}
-	starts := make([]int, len(nodes))
-	total := 0
-	for b := range nodes {
-		starts[b] = g.StartCost(b)
-		total += g.NodeCost(b)
-	}
-	var key string
-	if cache != nil {
-		key = tpgCostKey(g, starts)
-		if v, ok := cache.Get(key); ok {
-			obs.From(m.Context()).Counter("memo.tpgcost_hits").Inc()
-			return v.(*tpgCostFragment).cost + total, nil
-		}
-	}
-	path, cost, err := atsp.PathOpt(m, atsp.Matrix(g.Weight), starts, true, atsp.PathOptions{
-		Workers:  workers,
-		PreferBB: true,
-		CostOnly: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if cache != nil {
-		cache.Put(key, &tpgCostFragment{cost: cost, path: path})
-	}
-	return cost + total, nil
 }
 
 // genContext memoises completeness verdicts by test signature: the same

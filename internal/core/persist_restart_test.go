@@ -51,23 +51,15 @@ outer:
 	return out
 }
 
-// warmOptions returns the default options pinned to the warm solver
-// mode, the mode whose warm chains the durable tier primes.
-func warmOptions() Options {
-	opts := DefaultOptions()
-	opts.SolverMode = SolverWarm
-	return opts
-}
-
-// primedRun generates list in warm mode over a fresh cache attached to
-// tier, returning the result and the run's metrics snapshot — one
-// simulated process lifetime.
+// primedRun generates list over a fresh cache attached to tier, returning
+// the result and the run's metrics snapshot — one simulated process
+// lifetime.
 func primedRun(t *testing.T, list string, tier memo.DiskTier) (*Result, map[string]int64) {
 	t.Helper()
 	cache := memo.New(0)
 	cache.AttachDisk(tier, Codec())
 	run := obs.NewRun()
-	opts := warmOptions()
+	opts := DefaultOptions()
 	opts.Cache = cache
 	opts.Obs = run
 	res := generate(t, list, opts)

@@ -82,8 +82,7 @@ type sweep struct {
 	selections []tpg.Selection
 	// nodes[i] and sigs[i] are selection i's reduced TPG and its node-set
 	// signature; nodes[i] is nil when produce has nothing to do for i (a
-	// joint-pruned subtree, or a node set an earlier selection already
-	// reduces to).
+	// node set an earlier selection already reduces to).
 	nodes [][]tpg.Node
 	sigs  []string
 	order orderConfig
@@ -120,8 +119,7 @@ type sweep struct {
 // foldState is what the fold accumulates over the sweep.
 type foldState struct {
 	seen                map[string]bool
-	selCost             map[string]int // exact visit cost per node set
-	minSel              int            // -1: nothing solved exactly yet
+	minSel              int // -1: nothing solved exactly yet
 	candidates          int
 	best                *march.Test
 	bestNodes, bestCost int
@@ -129,7 +127,7 @@ type foldState struct {
 }
 
 func newFoldState() foldState {
-	return foldState{seen: map[string]bool{}, selCost: map[string]int{}, minSel: -1}
+	return foldState{seen: map[string]bool{}, minSel: -1}
 }
 
 // selection is produce's outcome for one selection index.
@@ -179,17 +177,14 @@ func (s *sweep) assemble(o *ordering) error {
 }
 
 // reduce computes the reduced TPG of every selection that produce must
-// solve, on s.workers goroutines: skip marks joint-pruned subtrees (nil:
-// none), and a node set an earlier selection reduces to is left out.
-func (s *sweep) reduce(classes []tpg.Class, skip []bool) {
+// solve, on s.workers goroutines: a node set an earlier selection reduces
+// to is left out.
+func (s *sweep) reduce(classes []tpg.Class) {
 	type reduced struct {
 		nodes []tpg.Node
 		sig   string
 	}
 	rs, _ := pool.Map(s.workers, len(s.selections), func(i int) (reduced, error) {
-		if skip != nil && skip[i] {
-			return reduced{}, nil
-		}
 		nodes := tpg.Reduce(classes, s.selections[i])
 		return reduced{nodes, nodeSignature(nodes)}, nil
 	})
@@ -197,7 +192,7 @@ func (s *sweep) reduce(classes []tpg.Class, skip []bool) {
 	s.sigs = make([]string, len(s.selections))
 	first := map[string]bool{}
 	for i, r := range rs {
-		if r.nodes == nil || first[r.sig] {
+		if first[r.sig] {
 			continue // different selections can reduce to the same TPG
 		}
 		first[r.sig] = true
@@ -280,9 +275,7 @@ func (s *sweep) produce(w, i int) (*selection, error) {
 		u.err = err
 		return u, nil
 	}
-	if cfg.preferBB {
-		s.warm[w] = patterns[0]
-	}
+	s.warm[w] = patterns[0]
 	u.cost, u.exactCost = cost, exactCost
 	seenOrder := map[string]bool{}
 	for _, p := range patterns {
@@ -329,11 +322,8 @@ func (s *sweep) fold(u *selection) error {
 		acc.lastErr = u.err
 		return nil
 	}
-	if u.exactCost {
-		acc.selCost[u.sig] = u.cost
-		if acc.minSel < 0 || u.cost < acc.minSel {
-			acc.minSel = u.cost
-		}
+	if u.exactCost && (acc.minSel < 0 || u.cost < acc.minSel) {
+		acc.minSel = u.cost
 	}
 	for k := range u.orders {
 		o := &u.orders[k]

@@ -38,8 +38,7 @@ var raceEnabled bool
 // reducedMatrix reports that the invariance tests run a reduced matrix:
 // under -short, and under the race detector, which slows the engine
 // about tenfold. There the pool's concurrency is what is checked, and one
-// pooled worker count exercises it; the root package's solver-mode
-// differential still crosses every mode with four workers.
+// pooled worker count exercises it.
 func reducedMatrix() bool { return testing.Short() || raceEnabled }
 
 // sweepWorkerCounts are the worker counts the invariance tests compare
@@ -70,19 +69,11 @@ func checkWorkerInvariance(t *testing.T, list string, opts Options) *Result {
 
 // TestSweepWorkerInvariance locks the produce/fold contract: the pooled
 // sweep (workers > 1) folds exactly the candidate stream the inline sweep
-// folds, so the whole Result is byte-identical at any worker count, in
-// every solver mode and in heuristic mode.
+// folds, so the whole Result is byte-identical at any worker count, with
+// the exact solver and in heuristic mode.
 func TestSweepWorkerInvariance(t *testing.T) {
-	modes := []string{SolverEnumerate, SolverWarm, SolverJoint}
-	if reducedMatrix() {
-		modes = []string{SolverWarm}
-	}
 	for _, list := range table3Lists {
-		for _, mode := range modes {
-			opts := DefaultOptions()
-			opts.SolverMode = mode
-			checkWorkerInvariance(t, list, opts)
-		}
+		checkWorkerInvariance(t, list, DefaultOptions())
 		opts := DefaultOptions()
 		opts.Exact = false
 		checkWorkerInvariance(t, list, opts)

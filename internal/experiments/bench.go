@@ -42,32 +42,39 @@ type BenchRow struct {
 	KernelAllocsPerOp uint64 `json:"kernel_allocs_per_op,omitempty"`
 	// ScalarAllocsPerOp counts heap allocations per scalar evaluation.
 	ScalarAllocsPerOp uint64 `json:"scalar_allocs_per_op,omitempty"`
-	// SolverNodesEnumerate / SolverNodesWarm / SolverNodesJoint count the
-	// total exact-solver nodes — Held–Karp states plus branch-and-bound
-	// expansions plus optimal-path enumeration nodes — of one single-worker
-	// cold-cache generation per solver mode. The three modes emit the
-	// byte-identical test (the generator aborts otherwise); only this
-	// effort differs.
+	// SolverNodesWarm counts the total exact-solver nodes — Held–Karp
+	// states plus branch-and-bound expansions plus optimal-path
+	// enumeration nodes — of one single-worker cold-cache generation.
+	// SolverNodesEnumerate and SolverNodesJoint are historic: entries
+	// taken while the solver modes existed counted the same nodes under
+	// the cold "enumerate" and the "joint" selection-tree mode. The fields
+	// stay, in their original order, so re-encoding the file keeps those
+	// columns byte for byte.
 	SolverNodesEnumerate int64 `json:"solver_nodes_enumerate,omitempty"`
 	SolverNodesWarm      int64 `json:"solver_nodes_warm,omitempty"`
 	SolverNodesJoint     int64 `json:"solver_nodes_joint,omitempty"`
-	// SolverNodeReduction is SolverNodesEnumerate / SolverNodesWarm.
+	// SolverNodeReduction is historic: SolverNodesEnumerate /
+	// SolverNodesWarm.
 	SolverNodeReduction float64 `json:"solver_node_reduction,omitempty"`
-	// SolverWarmNS / SolverJointNS time one single-worker cold-cache
-	// generation under the warm and joint solver modes (minimum over reps;
-	// the sequential_ns column is the enumerate-mode equivalent).
+	// SolverWarmNS and SolverJointNS are historic: one single-worker
+	// cold-cache generation timed under the warm and joint modes, minimum
+	// over reps, while sequential_ns timed the enumerate mode. Since the
+	// modes were retired, sequential_ns times the one solver path.
 	SolverWarmNS  int64 `json:"solver_warm_ns,omitempty"`
 	SolverJointNS int64 `json:"solver_joint_ns,omitempty"`
-	// SolverEscalations / SolverEscalationPrunes count the bound-ladder
-	// escalations of the warm run (branch-and-bound Lagrangian plus
-	// enumeration assignment-bound climbs) and how many of them pruned a
-	// node the first rung had let through.
+	// SolverEscalations / SolverEscalationPrunes count the optimal-path
+	// enumeration's assignment-bound escalations in the solver-node run,
+	// and how many of them pruned a step the min-out bound had let
+	// through. Entries taken before the Lagrangian branch-and-bound rung
+	// was retired add that rung's escalations, which were zero on every
+	// Table 3 row.
 	SolverEscalations      int64 `json:"solver_escalations,omitempty"`
 	SolverEscalationPrunes int64 `json:"solver_escalation_prunes,omitempty"`
-	// SolverAllocsEnumerate / SolverAllocsWarm count heap allocations of
-	// one whole single-worker cold-cache generation per solver mode,
-	// tracking the solver's allocation discipline (pooled assignment
-	// states and matrices) release over release.
+	// SolverAllocsWarm counts heap allocations of the solver-node run, a
+	// whole single-worker cold-cache generation, tracking the solver's
+	// allocation discipline (pooled assignment states and matrices)
+	// release over release. SolverAllocsEnumerate is historic: the same
+	// count under the enumerate mode.
 	SolverAllocsEnumerate uint64 `json:"solver_allocs_enumerate,omitempty"`
 	SolverAllocsWarm      uint64 `json:"solver_allocs_warm,omitempty"`
 }

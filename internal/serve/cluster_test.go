@@ -284,34 +284,6 @@ func TestMemoEndpoints(t *testing.T) {
 	}
 }
 
-// TestSolverField locks the request-level solver selection: invalid
-// modes are usage errors, and a warm-mode request returns the same test
-// as the default mode (the cross-mode identity the replica tier needs).
-func TestSolverField(t *testing.T) {
-	marchgen.ResetCache()
-	_, ts := newTestServer(t, Config{})
-	resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF", Solver: "annealing"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus solver: status %d, want 400: %s", resp.StatusCode, raw)
-	}
-
-	_, rawDefault := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF,TF"})
-	resp, rawWarm := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF,TF", Solver: "warm"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm solver: status %d: %s", resp.StatusCode, rawWarm)
-	}
-	var def, warm GenerateResponse
-	if err := json.Unmarshal(rawDefault, &def); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rawWarm, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if def.Test == "" || def.Test != warm.Test {
-		t.Fatalf("warm mode produced %q, default %q — modes must agree", warm.Test, def.Test)
-	}
-}
-
 // TestReplicaSetByteIdentical locks replica-set byte identity on a
 // multi-selection fault list: a request entered at a replica that does
 // not own its key is served by the ring owner and returns exactly the

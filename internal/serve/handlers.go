@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -69,14 +68,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "usage", err.Error())
 			return
 		}
-	}
-	switch req.Solver {
-	case "", marchgen.SolverEnumerate, marchgen.SolverWarm, marchgen.SolverJoint:
-	default:
-		sp.SetStr("outcome", "usage")
-		writeError(w, r, http.StatusBadRequest, "usage",
-			fmt.Sprintf("unknown solver mode %q (want enumerate, warm or joint)", req.Solver))
-		return
 	}
 	timeout, err := s.resolveTimeout(req.TimeoutMS)
 	if err != nil {
@@ -184,13 +175,6 @@ func (s *Server) executeGenerate(ctx context.Context, req *GenerateRequest) (*ma
 	}
 	if req.SelectionLimit > 0 {
 		opts = append(opts, marchgen.WithSelectionLimit(req.SelectionLimit))
-	}
-	mode := req.Solver
-	if mode == "" {
-		mode = s.cfg.SolverMode
-	}
-	if mode != "" {
-		opts = append(opts, marchgen.WithSolverMode(mode))
 	}
 	spec := req.Budget
 	if spec == "" {

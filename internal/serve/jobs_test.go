@@ -295,6 +295,7 @@ func TestJobsNotFoundAndValidation(t *testing.T) {
 		{"bad budget", JobSubmitRequest{Kind: "generate", Generate: &GenerateRequest{Faults: "SAF", Budget: "nodes=0"}}, "usage"},
 		{"negative workers", JobSubmitRequest{Kind: "generate", Generate: &GenerateRequest{Faults: "SAF", Workers: -1}}, "usage"},
 		{"bad cells", JobSubmitRequest{Kind: "simulate", Simulate: &VerifyRequest{Known: "MATS+", Faults: "SAF", Cells: 1}}, "usage"},
+		{"retired solver field", map[string]any{"kind": "generate", "generate": map[string]any{"faults": "SAF", "solver": "quantum"}}, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -423,6 +424,26 @@ func TestJobsRestartResume(t *testing.T) {
 	}
 	if rec.State.Terminal() {
 		t.Fatalf("suspended job is terminal: %+v", rec)
+	}
+	// Records persisted before the generate request's solver field was
+	// retired still carry it: the resumed job must run and commit the same
+	// document, because re-execution decodes the stored request leniently.
+	var stored struct {
+		Kind     string         `json:"kind"`
+		Generate map[string]any `json:"generate"`
+	}
+	if err := json.Unmarshal(rec.Request, &stored); err != nil {
+		t.Fatal(err)
+	}
+	stored.Generate["solver"] = "joint"
+	if rec.Request, err = json.Marshal(stored); err != nil {
+		t.Fatal(err)
+	}
+	if rawRec, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(jobs.NSJobs, sub.ID, rawRec); err != nil {
+		t.Fatal(err)
 	}
 
 	// Restart: a fresh server over the same store re-adopts and finishes.

@@ -42,12 +42,6 @@ type GenerateRequest struct {
 	// of failing; the downgrade is reported in the response. Empty: the
 	// server's configured default budget.
 	Budget string `json:"budget,omitempty"`
-	// Solver selects the exact-sweep solver mode: "enumerate", "warm" or
-	// "joint" (empty: the server's configured default, itself defaulting
-	// to "warm"). Modes only change effort — the generated test is
-	// byte-identical across all three, which is also why Solver does not
-	// participate in the coalescing key.
-	Solver string `json:"solver,omitempty"`
 	// TimeoutMS is the hard per-request deadline in milliseconds (0: the
 	// server default; capped at the server maximum). Past it the run is
 	// aborted with 504.

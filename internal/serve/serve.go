@@ -102,10 +102,6 @@ type Config struct {
 	// Empty: single-node mode, all cluster endpoints answer 503
 	// cluster_disabled.
 	Peers []string
-	// SolverMode is the default exact-sweep solver mode applied to
-	// generate requests that do not carry their own "solver" field:
-	// "enumerate", "warm" or "joint". Empty: the engine default (warm).
-	SolverMode string
 }
 
 // DefaultConfig returns the production defaults described on Config.

@@ -395,6 +395,7 @@ func TestErrorMapping(t *testing.T) {
 		{"negative workers", "/v1/generate", GenerateRequest{Faults: "SAF", Workers: -1}, 400, "usage"},
 		{"negative timeout", "/v1/generate", GenerateRequest{Faults: "SAF", TimeoutMS: -5}, 400, "usage"},
 		{"unknown field", "/v1/generate", map[string]any{"faults": "SAF", "bogus": 1}, 400, "bad_request"},
+		{"retired solver field", "/v1/generate", map[string]any{"faults": "SAF", "solver": "warm"}, 400, "bad_request"},
 		{"unknown known", "/v1/verify", VerifyRequest{Known: "MarchZ", Faults: "SAF"}, 400, "bad_request"},
 		{"test and known", "/v1/verify", VerifyRequest{Known: "MATS+", Test: "{ ⇕(w0) }", Faults: "SAF"}, 400, "bad_request"},
 		{"bad cells", "/v1/simulate", VerifyRequest{Known: "MATS+", Faults: "SAF", Cells: 1}, 400, "usage"},

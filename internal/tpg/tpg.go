@@ -128,23 +128,6 @@ func Classes(instances []fault.Instance) []Class {
 	return out
 }
 
-// OpSig fingerprints a pattern's operation signature — the excitation
-// sequence plus the observing read, ignoring initialisation. Subsumption
-// requires equal operations (see Subsumes), so patterns with different
-// signatures can never merge: every distinct signature among the chosen
-// options of a selection forces at least one distinct node into the
-// reduced TPG. The joint selection search builds its admissible
-// lower bound on that guarantee.
-func OpSig(p fsm.Pattern) string {
-	var sb strings.Builder
-	for _, in := range p.Excite {
-		sb.WriteString(in.String())
-		sb.WriteByte(';')
-	}
-	sb.WriteString(p.Observe.String())
-	return sb.String()
-}
-
 // equalOps reports whether two patterns share excitation and observation.
 func equalOps(a, b fsm.Pattern) bool {
 	if len(a.Excite) != len(b.Excite) || a.Observe != b.Observe {
@@ -275,8 +258,7 @@ func Selections(classes []Class, limit int) []Selection {
 // with an option subsumed by some mandatory pattern is satisfied for free
 // by that option alone. The full selection space is the cartesian product
 // of these lists in class order — the E = ∏|Cᵢ| figure before any
-// enumeration limit trims it — which the joint selection search explores
-// as a tree instead of a flat list.
+// enumeration limit trims it.
 func Choices(classes []Class) [][]int {
 	mandatory := []fsm.Pattern{}
 	for _, c := range classes {
