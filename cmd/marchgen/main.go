@@ -46,7 +46,7 @@ func run() int {
 	verify := flag.Bool("verify", true, "print the coverage/non-redundancy verdict")
 	timeout := flag.Duration("timeout", 0, "hard deadline; past it the run aborts (0: none)")
 	budgetSpec := flag.String("budget", "", "soft resource budget, e.g. nodes=100000,selections=16,candidates=200,soft=2s (exhaustion degrades instead of failing)")
-	workers := flag.Int("workers", 0, "worker pool size for the selection sweep, simulation and exact ATSP (0: GOMAXPROCS); the result is identical at any count")
+	workers := flag.Int("workers", 0, "worker pool size for the selection sweep and simulation (0: GOMAXPROCS); the result is identical at any count")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 

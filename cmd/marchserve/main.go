@@ -70,7 +70,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "default per-request hard deadline (0: 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested timeouts (0: 2m)")
 	budgetSpec := flag.String("budget", "", "default soft budget for generate requests, e.g. nodes=100000,soft=2s")
-	workers := flag.Int("workers", 0, "default engine worker-pool size for the selection sweep, simulation and exact ATSP (0: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "default engine worker-pool size for the selection sweep and simulation (0: GOMAXPROCS)")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
 	peers := flag.String("peers", "", "comma-separated replica addresses forming a replica set with this server (must include -addr)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")

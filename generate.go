@@ -51,10 +51,10 @@ func WithBeamWidth(n int) Option {
 }
 
 // WithWorkers bounds the generation worker pool: the §5 selection sweep
-// (each selection's exact solve and assembly), per-fault simulation,
-// coverage-matrix rows and exact-ATSP subtree exploration fan out over at
-// most n goroutines. n == 0 (the default) uses GOMAXPROCS; a negative n is
-// rejected with ErrUsage. The generated test and every statistic except
+// (each selection's exact solve and assembly), per-fault simulation and
+// coverage-matrix rows fan out over at most n goroutines; each exact solve
+// runs on one of them. n == 0 (the default) uses GOMAXPROCS; a negative n
+// is rejected with ErrUsage. The generated test and every statistic except
 // timing are byte-identical at any worker count.
 func WithWorkers(n int) Option {
 	return func(o *core.Options) { o.Workers = n }

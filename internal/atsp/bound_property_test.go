@@ -3,7 +3,6 @@ package atsp
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -16,10 +15,7 @@ func collectBounds(t *testing.T, m Matrix, opt SolveOptions) (tour []int, cost i
 	lb int
 }) {
 	t.Helper()
-	var mu sync.Mutex
 	bbBoundHook = func(w Matrix, lb int) {
-		mu.Lock()
-		defer mu.Unlock()
 		nodes = append(nodes, struct {
 			w  Matrix
 			lb int
@@ -34,32 +30,29 @@ func collectBounds(t *testing.T, m Matrix, opt SolveOptions) (tour []int, cost i
 }
 
 // TestAPBoundAdmissible is the property test behind the whole branch and
-// bound: at every search node — sequential and parallel — the assignment
-// relaxation must lower-bound the optimal cyclic tour of that node's
-// constrained matrix. An inadmissible bound would prune optimal leaves and
-// break both exactness and the cross-mode determinism contract.
+// bound: at every search node the assignment relaxation must lower-bound
+// the optimal cyclic tour of that node's constrained matrix. An
+// inadmissible bound would prune optimal leaves and break both exactness
+// and the warm/cold determinism contract.
 func TestAPBoundAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for iter := 0; iter < 16; iter++ {
 		n := 4 + rng.Intn(6) // 4..9: bruteForce stays tractable per node
 		m := randomMatrix(rng, n, 8)
 		opt := bruteForce(m)
-		for _, workers := range []int{1, 4} {
-			_, cost, nodes := collectBounds(t, m, SolveOptions{Workers: workers})
-			if cost != opt {
-				t.Fatalf("n=%d workers=%d: cost %d, brute force %d", n, workers, cost, opt)
+		_, cost, nodes := collectBounds(t, m, SolveOptions{})
+		if cost != opt {
+			t.Fatalf("n=%d: cost %d, brute force %d", n, cost, opt)
+		}
+		if len(nodes) == 0 {
+			t.Fatalf("n=%d: hook observed no nodes", n)
+		}
+		for _, nd := range nodes {
+			if nd.lb >= Inf {
+				continue // infeasible subproblem: pruned, bound vacuous
 			}
-			if len(nodes) == 0 {
-				t.Fatalf("n=%d workers=%d: hook observed no nodes", n, workers)
-			}
-			for _, nd := range nodes {
-				if nd.lb >= Inf {
-					continue // infeasible subproblem: pruned, bound vacuous
-				}
-				if bf := bruteForce(nd.w); nd.lb > bf {
-					t.Errorf("n=%d workers=%d: inadmissible bound %d > optimum %d for\n%v",
-						n, workers, nd.lb, bf, nd.w)
-				}
+			if bf := bruteForce(nd.w); nd.lb > bf {
+				t.Errorf("n=%d: inadmissible bound %d > optimum %d for\n%v", n, nd.lb, bf, nd.w)
 			}
 		}
 	}
@@ -67,33 +60,35 @@ func TestAPBoundAdmissible(t *testing.T) {
 
 // TestMultiOptimaTieBreakDeterministic seeds tie-heavy instances (tiny cost
 // range, so many co-optimal tours) and demands the exact same canonical
-// tour from every worker count, across repeated runs, and from warm versus
-// cold solves. This is the regression for the concurrency tie-break bug:
-// without the strict-prune + lex-min offer rule, two workers racing on
-// co-optimal leaves could return different (equally optimal) tours.
+// tour from cold and warm solves, whichever feasible tour primes the warm
+// one. Without the strict-prune + lex-min offer rule, a warm incumbent
+// would prune co-optimal leaves the cold search reaches, and the two could
+// return different (equally optimal) tours.
 func TestMultiOptimaTieBreakDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 24; iter++ {
 		n := 5 + rng.Intn(5)         // 5..9
 		m := randomMatrix(rng, n, 3) // costs in {0,1,2}: heavy tie pressure
-		want, wantCost, err := BranchBoundOpt(nil, m, SolveOptions{Workers: 1})
+		want, wantCost, err := BranchBoundOpt(nil, m, SolveOptions{})
 		if err != nil {
-			t.Fatalf("sequential solve: %v", err)
+			t.Fatalf("cold solve: %v", err)
 		}
 		if bf := bruteForce(m); wantCost != bf {
-			t.Fatalf("n=%d: sequential cost %d, brute force %d", n, wantCost, bf)
+			t.Fatalf("n=%d: cold cost %d, brute force %d", n, wantCost, bf)
 		}
-		warm, _ := Patch(m)
-		for _, workers := range []int{2, 4, 8} {
-			for rep := 0; rep < 3; rep++ {
-				got, gotCost, err := BranchBoundOpt(nil, m, SolveOptions{Workers: workers, WarmTour: warm})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if gotCost != wantCost || !reflect.DeepEqual(got, want) {
-					t.Fatalf("n=%d workers=%d rep=%d: tour %v cost %d, sequential returned %v cost %d",
-						n, workers, rep, got, gotCost, want, wantCost)
-				}
+		patched, _ := Patch(m)
+		reversed := make([]int, n) // feasible, and on this cost range often co-optimal
+		for i := range reversed {
+			reversed[i] = want[(n-i)%n]
+		}
+		for _, warm := range [][]int{patched, want, reversed} {
+			got, gotCost, err := BranchBoundOpt(nil, m, SolveOptions{WarmTour: warm})
+			if err != nil {
+				t.Fatalf("warm %v: %v", warm, err)
+			}
+			if gotCost != wantCost || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d warm %v: tour %v cost %d, cold returned %v cost %d",
+					n, warm, got, gotCost, want, wantCost)
 			}
 		}
 	}
@@ -103,8 +98,8 @@ func TestMultiOptimaTieBreakDeterministic(t *testing.T) {
 // single-arc mutation of each, and asserts the determinism contract end to
 // end: a warm-started solve (primed with anything from a garbage permutation
 // to the previous instance's exact tour) returns the byte-identical tour and
-// cost of a cold solve, sequentially and in parallel, and the cost matches
-// the independent Held–Karp dynamic program.
+// cost of a cold solve, and the cost matches the independent Held–Karp
+// dynamic program.
 func FuzzWarmStartEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(3))
 	f.Add(int64(42), uint8(0), uint8(250))
@@ -114,7 +109,7 @@ func FuzzWarmStartEquivalence(f *testing.F) {
 		n := 3 + int(nRaw%7) // 3..9
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMatrix(rng, n, 2+int(mutRaw%14))
-		cold, coldCost, err := BranchBoundOpt(nil, m, SolveOptions{Workers: 1})
+		cold, coldCost, err := BranchBoundOpt(nil, m, SolveOptions{})
 		if err != nil {
 			t.Fatalf("cold solve: %v", err)
 		}
@@ -127,15 +122,13 @@ func FuzzWarmStartEquivalence(f *testing.F) {
 		}
 		patched, _ := Patch(m)
 		for _, wt := range [][]int{rot, patched, cold} {
-			for _, workers := range []int{1, 4} {
-				got, gotCost, err := BranchBoundOpt(nil, m, SolveOptions{Workers: workers, WarmTour: wt})
-				if err != nil {
-					t.Fatalf("warm solve (workers=%d): %v", workers, err)
-				}
-				if gotCost != coldCost || !reflect.DeepEqual(got, cold) {
-					t.Fatalf("warm %v workers=%d: tour %v cost %d, cold %v cost %d",
-						wt, workers, got, gotCost, cold, coldCost)
-				}
+			got, gotCost, err := BranchBoundOpt(nil, m, SolveOptions{WarmTour: wt})
+			if err != nil {
+				t.Fatalf("warm solve: %v", err)
+			}
+			if gotCost != coldCost || !reflect.DeepEqual(got, cold) {
+				t.Fatalf("warm %v: tour %v cost %d, cold %v cost %d",
+					wt, got, gotCost, cold, coldCost)
 			}
 		}
 		// The incremental scenario the warm sweep actually runs: mutate one
@@ -145,11 +138,11 @@ func FuzzWarmStartEquivalence(f *testing.F) {
 		if i != j {
 			m2[i][j] = int(mutRaw)
 		}
-		cold2, cold2Cost, err := BranchBoundOpt(nil, m2, SolveOptions{Workers: 1})
+		cold2, cold2Cost, err := BranchBoundOpt(nil, m2, SolveOptions{})
 		if err != nil {
 			t.Fatalf("mutated cold solve: %v", err)
 		}
-		warm2, warm2Cost, err := BranchBoundOpt(nil, m2, SolveOptions{Workers: 1, WarmTour: cold})
+		warm2, warm2Cost, err := BranchBoundOpt(nil, m2, SolveOptions{WarmTour: cold})
 		if err != nil {
 			t.Fatalf("mutated warm solve: %v", err)
 		}

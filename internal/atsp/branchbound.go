@@ -2,8 +2,6 @@ package atsp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"marchgen/internal/budget"
 	"marchgen/internal/obs"
@@ -11,10 +9,6 @@ import (
 
 // SolveOptions tunes the exact solvers beyond the plain entry points.
 type SolveOptions struct {
-	// Workers fans the branch-and-bound subtree exploration over N
-	// goroutines (<= 0: GOMAXPROCS, 1: sequential). The returned tour and
-	// cost are identical at any worker count.
-	Workers int
 	// WarmTour, when non-nil and a feasible tour of the instance, primes
 	// the incumbent upper bound with its cost. Warm starts change node
 	// counts only, never the returned tour or cost: the incumbent tour
@@ -37,9 +31,19 @@ type SolveOptions struct {
 
 // bbBoundHook, when non-nil, observes every branch-and-bound subproblem:
 // the constrained matrix and the assignment lower bound computed for it.
-// Tests install it to assert bound admissibility at every node; a hook used
-// under Workers > 1 is called concurrently and must synchronise itself.
+// Tests install it to assert bound admissibility at every node.
 var bbBoundHook func(w Matrix, lb int)
+
+// progressFlush is how many node expansions a solve counts before flushing
+// them into the run's live-progress cell — large enough to keep the shared
+// atomic off the per-node path, small enough that the streamed node rate
+// tracks a long solve closely.
+const progressFlush = 1024
+
+// unset is the incumbent sentinel before any feasible tour is known. It is
+// far above any reachable tour cost yet small enough that comparisons
+// against lower bounds (themselves capped near Inf) cannot overflow.
+const unset = Inf * 4
 
 // bbNode is one open branch-and-bound subproblem: the constrained cost
 // matrix plus the parent's assignment state with the rows invalidated by
@@ -50,25 +54,17 @@ type bbNode struct {
 	ap *apState
 }
 
-// release returns the node's matrix and assignment state to their pools.
-// Callers must be done with both — children have already cloned them,
-// and any hook that keeps the matrix has cloned it too.
-func (nd *bbNode) release() {
-	releaseMatrix(nd.w)
-	nd.ap.release()
-}
-
 // bbBranch branches a subproblem on the shortest subtour of its optimal
 // assignment, the classic Carpaneto–Dell'Amico–Toth scheme: child k
 // forbids arc k of the subtour and forces arcs 0..k-1 by walling every
 // alternative leaving their tail or entering their head. Each child clones
 // the parent's assignment state and unassigns exactly the rows whose
 // matched arc a new wall destroyed, so bounding the child re-augments only
-// those rows instead of re-solving from scratch.
-func bbBranch(nd bbNode, rowToCol []int, cycle []int) []bbNode {
-	children := make([]bbNode, 0, len(cycle))
+// those rows instead of re-solving from scratch. The children are pushed
+// onto stack in order k = 0, 1, …, so the last one is expanded first.
+func bbBranch(stack []bbNode, nd bbNode, rowToCol []int, cycle []int) []bbNode {
 	for k := 0; k < len(cycle); k++ {
-		child := bbNode{w: cloneInto(nd.w), ap: nd.ap.clonePooled()}
+		child := bbNode{w: nd.w.Clone(), ap: nd.ap.clone()}
 		forbid := func(i, j int) {
 			if child.w[i][j] < Inf {
 				child.w[i][j] = Inf
@@ -92,9 +88,9 @@ func bbBranch(nd bbNode, rowToCol []int, cycle []int) []bbNode {
 				}
 			}
 		}
-		children = append(children, child)
+		stack = append(stack, child)
 	}
-	return children
+	return stack
 }
 
 // BranchBound solves the cyclic ATSP exactly by depth-first branch and
@@ -103,26 +99,22 @@ func bbBranch(nd bbNode, rowToCol []int, cycle []int) []bbNode {
 // Hungarian state provides the lower bound, and the search branches on the
 // arcs of the shortest subtour of each node's optimal assignment.
 func BranchBound(m Matrix) ([]int, int, error) {
-	return BranchBoundOpt(nil, m, SolveOptions{Workers: 1})
-}
-
-// BranchBoundMeter is BranchBound under a budget meter: every search node
-// charges the meter, so the solve aborts with a typed error on context
-// cancellation or ATSP node-budget exhaustion (nil meter: unbounded).
-func BranchBoundMeter(mt *budget.Meter, m Matrix) ([]int, int, error) {
-	return BranchBoundOpt(mt, m, SolveOptions{Workers: 1})
+	return BranchBoundOpt(nil, m, SolveOptions{})
 }
 
 // BranchBoundOpt is the full-control branch and bound; see SolveOptions.
+// Every search node charges mt, so the solve aborts with a typed error on
+// context cancellation or ATSP node-budget exhaustion (nil meter:
+// unbounded). The search runs on the calling goroutine.
 //
 // Determinism contract: subtrees are pruned only when their assignment
 // bound strictly exceeds the incumbent cost, so every node whose bound
-// does not exceed the optimum is explored at any worker count and under
-// any schedule. The set of optimal feasible tours the search reaches is
-// therefore schedule-independent, and the lexicographically smallest of
-// them (canonical rotation, lexLess order) is returned — identical for
-// sequential, parallel, warm and cold solves (CostOnly excepted).
-func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ int, err error) {
+// does not exceed the optimum is explored whatever the incumbent was
+// primed with. The set of optimal feasible tours the search reaches is
+// therefore independent of the priming, and the lexicographically
+// smallest of them (canonical rotation, lexLess order) is returned —
+// identical for warm and cold solves (CostOnly excepted).
+func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) ([]int, int, error) {
 	if err := m.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -130,53 +122,34 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 	if n == 1 {
 		return []int{0}, 0, nil
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	work := m.Clone()
 	for i := 0; i < n; i++ {
 		work[i][i] = Inf
 	}
 	run := obs.From(mt.Context())
 	sp := run.StartUnder("atsp/branchbound").SetInt("n", int64(n))
-	if workers > 1 {
-		sp.SetInt("workers", int64(workers))
-	}
-	s := &bbShared{orig: m, mt: mt, queues: make([]bbQueue, workers), prog: run.Progress()}
-	s.bound.Store(unset)
-	rootExpanded, rootPruned := 0, 0
+	s := &bbSearch{orig: m, mt: mt, bound: unset, prog: run.Progress()}
 	defer func() {
-		// Aggregated totals: deterministic for one worker (the explored
-		// set and visit order are fixed), schedule-dependent beyond — so
-		// the span carries them only in the sequential case, while the
-		// metrics registry always does.
-		expanded := s.expanded.Load() + int64(rootExpanded)
-		pruned := s.pruned.Load() + int64(rootPruned)
-		run.Counter("atsp.bb.expanded").Add(expanded)
-		run.Counter("atsp.bb.pruned").Add(pruned)
-		run.Counter("atsp.bb.steals").Add(s.steals.Load())
-		s.prog.AddNodes(int64(rootExpanded))
-		if workers == 1 {
-			sp.SetInt("expanded", expanded).SetInt("pruned", pruned)
-		}
+		run.Counter("atsp.bb.expanded").Add(s.expanded)
+		run.Counter("atsp.bb.pruned").Add(s.pruned)
+		s.prog.AddNodes(s.expanded - s.flushed)
+		sp.SetInt("expanded", s.expanded).SetInt("pruned", s.pruned)
 		sp.End()
 	}()
 	// Bound the root first: the warm shortcut and the root-Hamiltonian case
-	// then return without starting the worker engine at all, and a
-	// cost-only solve whose warm tour already meets the bound skips the
-	// heuristic incumbent too.
+	// then return without branching at all, and a cost-only solve whose
+	// warm tour already meets the bound skips the heuristic incumbent too.
 	if err := mt.Node(); err != nil {
 		return nil, 0, err
 	}
-	rootExpanded++
-	root := bbNode{w: work, ap: apStateFor(n)}
+	s.expanded++
+	root := bbNode{w: work, ap: newAPState(n)}
 	rowToCol, lb := root.ap.solve(work)
 	if hook := bbBoundHook; hook != nil {
 		hook(work, lb)
 	}
 	if lb >= Inf {
-		rootPruned++
+		s.pruned++
 		return nil, 0, fmt.Errorf("atsp: no feasible tour")
 	}
 	// Upper bounds prime the pruning only. Keeping the incumbent tour
@@ -199,7 +172,7 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 		incTour, incCost = canonical(opt.WarmTour), warmCost
 	}
 	if incCost < Inf {
-		s.bound.Store(int64(incCost))
+		s.bound = incCost
 	}
 	// The root relaxation is the solve's global lower bound: publish it
 	// against the primed incumbent, and stamp it on the span so recorded
@@ -228,32 +201,101 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 		s.prog.Search(int64(cost), int64(lb))
 		return canonical(cycle), cost, nil
 	}
-	for _, child := range bbBranch(root, rowToCol, cycle) {
-		s.outstanding.Add(1)
-		s.queues[0].push(child)
-	}
-	root.release() // children cloned what they need
-	if workers == 1 {
-		s.worker(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(id int) {
-				defer wg.Done()
-				s.worker(id)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if err := s.failure(); err != nil {
+	if err := s.search(bbBranch(nil, root, rowToCol, cycle)); err != nil {
 		return nil, 0, err
 	}
 	if s.best == nil {
 		return nil, 0, fmt.Errorf("atsp: no feasible tour")
 	}
-	sp.SetInt("incumbent", s.bound.Load())
-	return s.best, int(s.bound.Load()), nil
+	sp.SetInt("incumbent", int64(s.bound))
+	return s.best, s.bound, nil
+}
+
+// bbSearch is one branch-and-bound solve's search state, owned by the
+// goroutine that runs the solve.
+type bbSearch struct {
+	orig Matrix
+	mt   *budget.Meter
+	// bound is the incumbent tour cost (unset, or the primed upper bound,
+	// until the search reaches a tour) and best the incumbent tour, nil
+	// until the search itself reaches an optimal leaf.
+	bound int
+	best  []int
+	// prog is the run's live-progress surface (nil-safe) and rootLB the
+	// root relaxation bound: offer publishes every incumbent improvement
+	// against it. flushed is the part of expanded already added to prog.
+	prog    *obs.Progress
+	rootLB  int64
+	flushed int64
+
+	expanded, pruned int64
+}
+
+// search expands the open subproblems on stack depth-first, last pushed
+// first, until none is left or the meter aborts the solve. Each node is
+// bounded by re-augmenting its inherited assignment state (only the rows
+// the branching constraints dirtied), recorded when the assignment is a
+// feasible tour, and otherwise branched on exactly as the CDT scheme
+// prescribes. Pruning is strict (bound must *exceed* the incumbent cost):
+// a subproblem whose bound ties the incumbent may still hold an
+// equal-cost tour that wins the lexicographic tie-break, and exploring
+// all of them is what makes the returned tour independent of the priming.
+func (s *bbSearch) search(stack []bbNode) error {
+	for len(stack) > 0 {
+		if s.expanded-s.flushed >= progressFlush {
+			s.prog.AddNodes(s.expanded - s.flushed)
+			s.flushed = s.expanded
+		}
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if err := s.mt.Node(); err != nil {
+			return err
+		}
+		s.expanded++
+		rowToCol, lb := nd.ap.solve(nd.w)
+		if hook := bbBoundHook; hook != nil {
+			hook(nd.w, lb)
+		}
+		if lb > s.bound || lb >= Inf {
+			s.pruned++
+			continue
+		}
+		cycle := shortestSubtour(rowToCol)
+		if len(cycle) == len(rowToCol) {
+			s.offer(cycle)
+			continue
+		}
+		stack = bbBranch(stack, nd, rowToCol, cycle)
+	}
+	return nil
+}
+
+// offer records a feasible tour, keeping the cheapest — and among
+// equal-cost optima the lexicographically smallest canonical tour, so the
+// final incumbent does not depend on the order the search reached them.
+func (s *bbSearch) offer(cycle []int) {
+	cost := s.orig.TourCost(cycle)
+	if cost > s.bound {
+		return
+	}
+	tour := canonical(cycle)
+	if cost < s.bound || s.best == nil || lexLess(tour, s.best) {
+		s.best, s.bound = tour, cost
+		s.prog.Search(int64(cost), s.rootLB)
+	}
+}
+
+// lexLess orders tours lexicographically.
+func lexLess(a, b []int) bool {
+	for k := range a {
+		if k >= len(b) {
+			return false
+		}
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return len(a) < len(b)
 }
 
 // shortestSubtour extracts the shortest cycle of the assignment
@@ -282,12 +324,7 @@ func shortestSubtour(rowToCol []int) []int {
 // bound beyond, cross-checking nothing at runtime (the test suite asserts
 // both agree).
 func SolveExact(m Matrix) ([]int, int, error) {
-	return SolveExactMeter(nil, m)
-}
-
-// SolveExactMeter is SolveExact under a budget meter.
-func SolveExactMeter(mt *budget.Meter, m Matrix) ([]int, int, error) {
-	return SolveExactOpt(mt, m, SolveOptions{Workers: 1})
+	return SolveExactOpt(nil, m, SolveOptions{})
 }
 
 // SolveExactOpt is SolveExact under SolveOptions: PreferBB overrides the

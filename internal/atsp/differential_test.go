@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"marchgen/internal/budget"
@@ -46,12 +47,11 @@ func exhaustiveOpenPath(m Matrix, startCost []int) int {
 	return best
 }
 
-// TestDifferentialTourSolvers cross-checks four independent solvers on
+// TestDifferentialTourSolvers cross-checks three independent solvers on
 // random asymmetric instances up to n = 10: exhaustive enumeration,
-// Held–Karp, the sequential branch-and-bound and the work-stealing
-// parallel branch-and-bound at several worker counts must all report the
-// same optimal tour cost, and every returned tour must be a valid
-// permutation achieving its reported cost.
+// Held–Karp and the branch and bound must all report the same optimal
+// tour cost, and every returned tour must be a valid permutation
+// achieving its reported cost.
 func TestDifferentialTourSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 2; n <= 10; n++ {
@@ -80,19 +80,16 @@ func TestDifferentialTourSolvers(t *testing.T) {
 			hkTour, hkCost, hkErr := HeldKarp(m)
 			check("held-karp", hkTour, hkCost, hkErr)
 			bbTour, bbCost, bbErr := BranchBound(m)
-			check("sequential-bb", bbTour, bbCost, bbErr)
-			for _, workers := range []int{2, 4} {
-				pTour, pCost, pErr := BranchBoundWorkers(nil, m, workers)
-				check("parallel-bb", pTour, pCost, pErr)
-			}
+			check("branch-bound", bbTour, bbCost, bbErr)
 		}
 	}
 }
 
-// TestDifferentialOpenPath cross-checks PathWorkers (the open-path
-// reduction the generation pipeline actually runs) against exhaustive
-// open-path enumeration, with and without start costs, at several worker
-// counts.
+// TestDifferentialOpenPath cross-checks PathOpt (the open-path reduction
+// the generation pipeline actually runs) against exhaustive open-path
+// enumeration, with and without start costs, on both exact regimes: the
+// small-instance Held–Karp dispatch and the branch and bound PreferBB
+// forces.
 func TestDifferentialOpenPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for n := 2; n <= 8; n++ {
@@ -106,40 +103,17 @@ func TestDifferentialOpenPath(t *testing.T) {
 				}
 			}
 			want := exhaustiveOpenPath(m, starts)
-			for _, workers := range []int{1, 2, 4} {
-				path, cost, err := PathWorkers(nil, m, starts, true, workers)
+			for _, preferBB := range []bool{false, true} {
+				path, cost, err := PathOpt(nil, m, starts, true, PathOptions{PreferBB: preferBB})
 				if err != nil {
-					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, workers, err)
+					t.Fatalf("n=%d trial=%d preferBB=%v: %v", n, trial, preferBB, err)
 				}
 				if cost != want {
-					t.Fatalf("n=%d trial=%d workers=%d: cost %d, exhaustive says %d", n, trial, workers, cost, want)
+					t.Fatalf("n=%d trial=%d preferBB=%v: cost %d, exhaustive says %d", n, trial, preferBB, cost, want)
 				}
 				if !validTour(n, path) {
-					t.Fatalf("n=%d trial=%d workers=%d: invalid path %v", n, trial, workers, path)
+					t.Fatalf("n=%d trial=%d preferBB=%v: invalid path %v", n, trial, preferBB, path)
 				}
-			}
-		}
-	}
-}
-
-// TestParallelCostDeterministic re-solves one instance many times at
-// several worker counts: the reported optimal cost must never vary with
-// scheduling.
-func TestParallelCostDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := randomMatrix(rng, 9, 30)
-	_, want, err := BranchBound(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		for rep := 0; rep < 10; rep++ {
-			_, cost, err := BranchBoundWorkers(nil, m, workers)
-			if err != nil {
-				t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
-			}
-			if cost != want {
-				t.Fatalf("workers=%d rep=%d: cost %d, want %d", workers, rep, cost, want)
 			}
 		}
 	}
@@ -168,53 +142,101 @@ func twoCycleMatrix(half int) Matrix {
 	return m
 }
 
-// TestParallelBudgetExhaustion checks that the shared meter's node budget
-// aborts the parallel solve with the same typed error as the sequential
-// one. The two-cycle instance guarantees the root branches, so a budget of
-// one node must be exhausted by whichever worker expands a child.
-func TestParallelBudgetExhaustion(t *testing.T) {
+// meterSolvers is the table the meter-abort tests run: both exact entry
+// points on the two-cycle instance, each with the ATSP node budget it
+// outruns. The instance guarantees the branch and bound branches at the
+// root, so a one-node budget runs out on its first child. The
+// optimal-path enumeration gets exactly the nodes its establishing solve
+// needs, so the enumeration itself runs out.
+func meterSolvers(t *testing.T) []meterSolver {
+	t.Helper()
 	m := twoCycleMatrix(6)
-	mt := budget.NewMeter(context.Background(), budget.Budget{ATSPNodes: 1})
-	_, _, err := BranchBoundWorkers(mt, m, 4)
-	if !errors.Is(err, budget.ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
+	probe := budget.NewMeter(context.Background(), budget.Budget{ATSPNodes: 1 << 30})
+	if _, _, err := PathOpt(probe, m, nil, true, PathOptions{PreferBB: true, CostOnly: true}); err != nil {
+		t.Fatalf("establishing solve: %v", err)
+	}
+	return []meterSolver{
+		{"branch-bound", 1, func(mt *budget.Meter) error {
+			_, _, err := BranchBoundOpt(mt, m, SolveOptions{})
+			return err
+		}},
+		{"optimal-paths", probe.Nodes(), func(mt *budget.Meter) error {
+			_, _, err := OptimalPathsOpt(mt, m, nil, 8, PathOptions{PreferBB: true})
+			return err
+		}},
+	}
+}
+
+type meterSolver struct {
+	name  string
+	nodes int // ATSP node budget the solve outruns
+	solve func(mt *budget.Meter) error
+}
+
+// meterSharers is how many concurrent solves share one meter, as the
+// pooled selection sweep's producers share the run's meter.
+const meterSharers = 4
+
+// solveShared runs sv on meterSharers goroutines sharing mt and returns
+// each solve's error.
+func solveShared(sv meterSolver, mt *budget.Meter) []error {
+	errs := make([]error, meterSharers)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = sv.solve(mt)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// TestParallelBudgetExhaustion checks that the meter's node budget aborts
+// both exact entry points with ErrBudgetExhausted: one solve on its own
+// meter is charged exactly one node past the budget, and concurrent solves
+// sharing one meter all abort, since none can complete inside the shared
+// count. Each sharer stops at its first refused node, so the shared count
+// overshoots by at most one node per sharer.
+func TestParallelBudgetExhaustion(t *testing.T) {
+	for _, sv := range meterSolvers(t) {
+		mt := budget.NewMeter(context.Background(), budget.Budget{ATSPNodes: sv.nodes})
+		if err := sv.solve(mt); !errors.Is(err, budget.ErrBudgetExhausted) {
+			t.Errorf("%s, %d-node budget: err = %v, want ErrBudgetExhausted", sv.name, sv.nodes, err)
+		}
+		if got := mt.Nodes(); got != sv.nodes+1 {
+			t.Errorf("%s, %d-node budget: %d nodes charged, want %d", sv.name, sv.nodes, got, sv.nodes+1)
+		}
+
+		mt = budget.NewMeter(context.Background(), budget.Budget{ATSPNodes: sv.nodes})
+		for g, err := range solveShared(sv, mt) {
+			if !errors.Is(err, budget.ErrBudgetExhausted) {
+				t.Errorf("%s, shared %d-node budget, solve %d: err = %v, want ErrBudgetExhausted", sv.name, sv.nodes, g, err)
+			}
+		}
+		if got := mt.Nodes(); got <= sv.nodes || got > sv.nodes+meterSharers {
+			t.Errorf("%s, shared %d-node budget: %d nodes charged, want %d..%d", sv.name, sv.nodes, got, sv.nodes+1, sv.nodes+meterSharers)
+		}
 	}
 }
 
 // TestParallelCancellation checks that a hard cancellation latched on the
-// shared meter (as a pipeline stage boundary would via CheckNow) aborts
-// the whole worker pool with the typed error.
+// meter, as a pipeline stage boundary would latch it via CheckNow, aborts
+// every concurrent solve sharing that meter with ErrCanceled, on both
+// exact entry points.
 func TestParallelCancellation(t *testing.T) {
-	m := twoCycleMatrix(6)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	mt := budget.NewMeter(ctx, budget.Budget{})
-	if err := mt.CheckNow(); !errors.Is(err, budget.ErrCanceled) {
-		t.Fatalf("CheckNow = %v, want ErrCanceled", err)
-	}
-	_, _, err := BranchBoundWorkers(mt, m, 4)
-	if !errors.Is(err, budget.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestSolveExactWorkersDispatch checks the Held–Karp/branch-and-bound
-// dispatch agrees with the sequential SolveExact on both sides of the
-// size threshold.
-func TestSolveExactWorkersDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{6, 14} {
-		m := randomMatrix(rng, n, 25)
-		_, want, err := SolveExact(m)
-		if err != nil {
-			t.Fatal(err)
+	for _, sv := range meterSolvers(t) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		mt := budget.NewMeter(ctx, budget.Budget{})
+		if err := mt.CheckNow(); !errors.Is(err, budget.ErrCanceled) {
+			t.Fatalf("CheckNow = %v, want ErrCanceled", err)
 		}
-		_, got, err := SolveExactWorkers(nil, m, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("n=%d: parallel dispatch cost %d, sequential %d", n, got, want)
+		for g, err := range solveShared(sv, mt) {
+			if !errors.Is(err, budget.ErrCanceled) {
+				t.Errorf("%s, canceled, solve %d: err = %v, want ErrCanceled", sv.name, g, err)
+			}
 		}
 	}
 }

@@ -14,29 +14,14 @@ import (
 // capped at a fixed node budget as a safety valve (the instances produced
 // by Test Pattern Graphs are small).
 func OptimalPaths(m Matrix, startCost []int, limit int) ([][]int, int, error) {
-	return OptimalPathsMeter(nil, m, startCost, limit)
+	return OptimalPathsOpt(nil, m, startCost, limit, PathOptions{})
 }
 
-// OptimalPathsMeter is OptimalPaths under a budget meter: both the exact
-// solve establishing the optimum and the enumeration charge the meter per
-// search node, so the call aborts with a typed error on cancellation or
-// node-budget exhaustion (nil meter: only the built-in safety valve).
-func OptimalPathsMeter(mt *budget.Meter, m Matrix, startCost []int, limit int) ([][]int, int, error) {
-	return OptimalPathsWorkers(mt, m, startCost, limit, 1)
-}
-
-// OptimalPathsWorkers is OptimalPathsMeter with a worker count: the exact
-// solve establishing the optimal cost runs on `workers` goroutines, while
-// the enumeration of cost-optimal paths stays sequential — its emission
-// order feeds the rewrite engine and must be identical at any worker
-// count. The optimal cost is schedule-independent, so the enumerated set
-// is too.
-func OptimalPathsWorkers(mt *budget.Meter, m Matrix, startCost []int, limit, workers int) ([][]int, int, error) {
-	return OptimalPathsOpt(mt, m, startCost, limit, PathOptions{Workers: workers})
-}
-
-// OptimalPathsOpt is OptimalPathsWorkers under PathOptions: the exact
-// solve establishing the optimal cost can be warm-started and routed to
+// OptimalPathsOpt is OptimalPaths under a budget meter and PathOptions.
+// Both the exact solve establishing the optimum and the enumeration charge
+// mt per search node, so the call aborts with a typed error on
+// cancellation or node-budget exhaustion (nil meter: only the built-in
+// safety valve). The establishing solve can be warm-started and routed to
 // the branch and bound, while the enumeration itself is untouched — its
 // emission order feeds the rewrite engine, so the returned paths are
 // byte-identical whatever the options. CostOnly is forced: only the
@@ -69,7 +54,7 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 	var paths [][]int
 	visited := make([]bool, n)
 	cur := make([]int, 0, n)
-	rem := make([]int, n)
+	sc := newAPScratch(n)
 	const nodeBudget = 500000
 	nodes, escalated, escPruned := 0, 0, 0
 	var recErr error
@@ -136,7 +121,7 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 				// satisfies cost+step+lb <= best — so only the node count
 				// moves.
 				escalated++
-				if alb := enumAPBound(m, visited, v, rem); alb > lb {
+				if alb := enumAPBound(m, visited, v, sc); alb > lb {
 					lb = alb
 					if cost+step+lb > best {
 						escPruned++
@@ -180,15 +165,36 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 // pure overhead).
 const enumEscalateMinRemaining = 3
 
+// apScratch is the assignment rung's scratch, allocated once per
+// enumeration and reused by every bound: rem lists the unvisited
+// remainder, sub holds the bound's subproblem (rows re-sliced to its
+// order) and ap solves it.
+type apScratch struct {
+	rem []int
+	sub Matrix
+	ap  apState
+}
+
+// newAPScratch sizes the scratch for the subproblems of an n-node
+// enumeration, which have at most n rows.
+func newAPScratch(n int) *apScratch {
+	back := make([]int, n*n)
+	sub := make(Matrix, n)
+	for i := range sub {
+		sub[i] = back[i*n : (i+1)*n : (i+1)*n]
+	}
+	return &apScratch{rem: make([]int, n), sub: sub}
+}
+
 // enumAPBound is the enumeration's second rung: an admissible assignment
 // bound on the cheapest completion of a partial path about to step onto
 // v. Rows are {v} ∪ R (R = unvisited minus v), columns R plus an end
 // column: v must exit into R, every node of R is entered exactly once,
 // and exactly one row — the path's final node — takes the free end
 // column. Every feasible suffix induces such an assignment, so the
-// optimal assignment lower-bounds the suffix cost. rem is caller-owned
-// scratch of length ≥ len(m).
-func enumAPBound(m Matrix, visited []bool, v int, rem []int) int {
+// optimal assignment lower-bounds the suffix cost.
+func enumAPBound(m Matrix, visited []bool, v int, sc *apScratch) int {
+	rem := sc.rem
 	k := 0
 	for w := 0; w < len(m); w++ {
 		if !visited[w] && w != v {
@@ -196,7 +202,10 @@ func enumAPBound(m Matrix, visited []bool, v int, rem []int) int {
 			k++
 		}
 	}
-	sub := matrixFor(k + 1)
+	sub := sc.sub[:k+1]
+	for i := range sub {
+		sub[i] = sub[i][:k+1]
+	}
 	for j := 0; j < k; j++ {
 		sub[0][j] = m[v][rem[j]]
 	}
@@ -212,15 +221,13 @@ func enumAPBound(m Matrix, visited []bool, v int, rem []int) int {
 		}
 		sub[i+1][k] = 0 // the path may end at any remaining node, free
 	}
-	lb := assignmentCost(sub)
-	releaseMatrix(sub)
-	return lb
+	return assignmentCost(sub, &sc.ap)
 }
 
-// assignmentCost solves the linear assignment problem on m with a pooled
-// state and returns only the optimal cost.
-func assignmentCost(m Matrix) int {
-	s := apStateFor(len(m))
+// assignmentCost solves the linear assignment problem on m with the
+// caller's state s, reset to m's order, and returns only the optimal cost.
+func assignmentCost(m Matrix, s *apState) int {
+	s.reset(len(m))
 	for i := 1; i <= s.n; i++ {
 		if s.row[i] == 0 {
 			s.augment(m, i)
@@ -230,6 +237,5 @@ func assignmentCost(m Matrix) int {
 	for i := 1; i <= s.n; i++ {
 		cost += m[i-1][s.row[i]-1]
 	}
-	s.release()
 	return cost
 }

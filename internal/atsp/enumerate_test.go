@@ -8,10 +8,11 @@ import (
 
 // TestEnumAPBoundAdmissible checks the enumeration's assignment rung
 // against brute force: for random partial-path states, the assignment bound never
-// exceeds the cheapest completion of the path through v.
+// exceeds the cheapest completion of the path through v. One scratch
+// serves every instance, as one serves every bound of an enumeration.
 func TestEnumAPBoundAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	rem := make([]int, 8)
+	sc := newAPScratch(8)
 	for iter := 0; iter < 120; iter++ {
 		n := 4 + rng.Intn(4) // 4..7
 		m := randomMatrix(rng, n, 10)
@@ -54,7 +55,7 @@ func TestEnumAPBoundAdmissible(t *testing.T) {
 			}
 		}
 		rec(v, 0, 0)
-		if lb := enumAPBound(m, visited, v, rem); lb > best {
+		if lb := enumAPBound(m, visited, v, sc); lb > best {
 			t.Fatalf("n=%d visited=%v v=%d: bound %d exceeds cheapest suffix %d for\n%v",
 				n, visited, v, lb, best, m)
 		}

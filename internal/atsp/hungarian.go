@@ -25,7 +25,7 @@ type apState struct {
 	row []int // row[r] = col matched to row r (0 = none)
 
 	// Augmenting-search scratch, reused across augment calls (and across
-	// pooled reuses of the whole state): holds no state between calls.
+	// resets of the whole state): holds no state between calls.
 	way  []int
 	minv []int
 	used []bool
@@ -33,12 +33,42 @@ type apState struct {
 
 // newAPState returns an empty state for an n×n instance.
 func newAPState(n int) *apState {
+	s := &apState{}
+	s.reset(n)
+	return s
+}
+
+// reset sizes the state for an n×n instance and clears the matching and
+// potentials (the augmenting-search scratch is sized lazily by augment).
+func (s *apState) reset(n int) {
+	s.n = n
+	s.u = resizeInts(s.u, n+1)
+	s.v = resizeInts(s.v, n+1)
+	s.p = resizeInts(s.p, n+1)
+	s.row = resizeInts(s.row, n+1)
+	for i := 0; i <= n; i++ {
+		s.u[i], s.v[i], s.p[i], s.row[i] = 0, 0, 0, 0
+	}
+}
+
+// resizeInts returns a slice of length n, reusing b's backing array when
+// it is large enough.
+func resizeInts(b []int, n int) []int {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]int, n)
+}
+
+// clone returns a deep copy of the state (scratch excluded — it holds no
+// state between augmentations).
+func (s *apState) clone() *apState {
 	return &apState{
-		n:   n,
-		u:   make([]int, n+1),
-		v:   make([]int, n+1),
-		p:   make([]int, n+1),
-		row: make([]int, n+1),
+		n:   s.n,
+		u:   append([]int(nil), s.u...),
+		v:   append([]int(nil), s.v...),
+		p:   append([]int(nil), s.p...),
+		row: append([]int(nil), s.row...),
 	}
 }
 

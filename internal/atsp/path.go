@@ -19,29 +19,17 @@ import (
 // branch and bound); otherwise the layered heuristics provide a fast
 // near-optimal path.
 func Path(m Matrix, startCost []int, exact bool) ([]int, int, error) {
-	return PathMeter(nil, m, startCost, exact)
+	return PathOpt(nil, m, startCost, exact, PathOptions{})
 }
 
-// PathMeter is Path under a budget meter: the exact reduction charges the
-// meter per search node and aborts with a typed error on cancellation or
-// node-budget exhaustion. The heuristic mode only probes for cancellation
-// (it is the degradation target, so it must not consume the node budget).
-func PathMeter(mt *budget.Meter, m Matrix, startCost []int, exact bool) ([]int, int, error) {
-	return PathWorkers(mt, m, startCost, exact, 1)
-}
-
-// PathWorkers is PathMeter with a worker count for the exact solve: the
-// branch-and-bound regime explores its subtrees on `workers` goroutines
-// (see BranchBoundWorkers). The optimal cost is identical at any worker
-// count; workers <= 1 is the sequential solver unchanged.
-func PathWorkers(mt *budget.Meter, m Matrix, startCost []int, exact bool, workers int) ([]int, int, error) {
-	return PathOpt(mt, m, startCost, exact, PathOptions{Workers: workers})
-}
-
-// PathOptions tunes PathOpt beyond the plain entry points; the zero value
-// reproduces PathMeter exactly.
+// PathOptions tunes PathOpt beyond Path; the zero value reproduces Path
+// exactly.
 type PathOptions struct {
-	// Workers is the exact solver's worker count (see SolveOptions).
+	// Workers is ignored: every exact solve runs on the calling goroutine.
+	//
+	// Deprecated: Workers has no effect. It remains only because the
+	// benchmark's replay (perfbench/replay.go) still sets it, and goes
+	// once that file stops; leave it unset.
 	Workers int
 	// WarmPath, when a valid open path over the instance's nodes, primes
 	// the exact solve's incumbent bound (see SolveOptions.WarmTour; the
@@ -53,9 +41,13 @@ type PathOptions struct {
 	CostOnly bool
 }
 
-// PathOpt is PathWorkers under PathOptions: the same dummy-node reduction,
-// with the exact solve optionally warm-started, forced onto the branch and
-// bound, or relaxed to cost-only tie-breaking.
+// PathOpt is Path under a budget meter and PathOptions: the same
+// dummy-node reduction, with the exact solve optionally warm-started,
+// forced onto the branch and bound, or relaxed to cost-only tie-breaking.
+// The exact reduction charges mt per search node and aborts with a typed
+// error on cancellation or node-budget exhaustion. The heuristic mode only
+// probes for cancellation (it is the degradation target, so it must not
+// consume the node budget).
 func PathOpt(mt *budget.Meter, m Matrix, startCost []int, exact bool, opt PathOptions) ([]int, int, error) {
 	if err := m.Validate(); err != nil {
 		return nil, 0, err
@@ -90,11 +82,7 @@ func PathOpt(mt *budget.Meter, m Matrix, startCost []int, exact bool, opt PathOp
 	var cost int
 	var err error
 	if exact {
-		so := SolveOptions{
-			Workers:  opt.Workers,
-			PreferBB: opt.PreferBB,
-			CostOnly: opt.CostOnly,
-		}
+		so := SolveOptions{PreferBB: opt.PreferBB, CostOnly: opt.CostOnly}
 		if validTour(n, opt.WarmPath) {
 			// An open path lifts to a tour of the extended instance by
 			// leading with the dummy: dummy -> path[0] costs the start,

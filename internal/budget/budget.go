@@ -229,8 +229,8 @@ const checkStride = 64
 
 // Meter carries one generation run's cancellation context and soft budget
 // through the pipeline. It is safe for concurrent use: the parallel engine
-// shares one Meter between the worker pool, the parallel branch-and-bound
-// workers and the sequential driver, so hard cancellation latches exactly
+// shares one Meter between the worker pool (sweep producers, simulation
+// workers) and the sequential driver, so hard cancellation latches exactly
 // once and node accounting stays a single global count. A nil *Meter is
 // valid everywhere and disables all checks, which is what the legacy
 // non-context entry points pass.

@@ -172,9 +172,8 @@ func TestParseWorkers(t *testing.T) {
 	}
 }
 
-// TestMeterConcurrentNodeAccounting exercises the meter the way the
-// parallel branch-and-bound does: many goroutines charging one shared
-// node budget. The total number of successful charges must equal the
+// TestMeterConcurrentNodeAccounting exercises the meter under concurrent
+// charging: many goroutines charging one shared node budget. The total number of successful charges must equal the
 // budget exactly, and exhaustion must latch for every worker.
 func TestMeterConcurrentNodeAccounting(t *testing.T) {
 	const budget = 1000

@@ -66,10 +66,10 @@ type Options struct {
 	Budget budget.Budget
 	// Workers bounds the worker pool fanning out the §5 selection sweep
 	// (each selection's exact solve and assembly, see sweep.go), per-fault
-	// simulation, coverage-matrix rows and exact-ATSP subtree exploration
-	// (0: use GOMAXPROCS; negative is rejected as a usage error). Budgeted
-	// runs sweep on one producer. Results are byte-identical at any worker
-	// count.
+	// simulation and coverage-matrix rows (0: use GOMAXPROCS; negative is
+	// rejected as a usage error). Each exact solve runs on one goroutine,
+	// and budgeted runs sweep on one producer. Results are byte-identical
+	// at any worker count.
 	Workers int
 	// Cache, when non-nil, memoises coverage matrices, solved tour
 	// fragments, completeness verdicts and whole results under
@@ -306,7 +306,7 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		selections: selections,
 		// Warm-start threading: each producer's previous first optimal
 		// ordering seeds its next solve's incumbent.
-		order:   orderConfig{exact: opts.Exact, workers: workers},
+		order:   orderConfig{exact: opts.Exact},
 		opts:    opts,
 		cache:   cache,
 		workers: workers,
@@ -515,14 +515,18 @@ type tourFragment struct {
 	cost  int
 }
 
-// tpgCostFragment is a memoised cost-only exact solve: the optimal path
-// cost of a TPG weight matrix plus one witnessing path. It is the
-// bound-state fragment the warm-started solvers feed on — the path primes
-// the next solve's incumbent so the assignment-tight root shortcut can
-// return without branching. Treated as immutable once cached.
-type tpgCostFragment struct {
-	cost int
-	path []int
+// answers reports whether the fragment can answer the solve of g under
+// the start costs starts: it holds at least one path, and every path is
+// a permutation of the TPG's nodes whose visit cost is the fragment's
+// cost. Fragments cross process and peer boundaries, so a well-formed
+// but wrong one must read as a miss, not index past the node list.
+func (f *tourFragment) answers(g *tpg.Graph, starts []int) bool {
+	for _, p := range f.paths {
+		if !validFragmentPath(p, len(starts)) || visitCost(g, starts, p) != f.cost {
+			return false
+		}
+	}
+	return len(f.paths) > 0
 }
 
 // nodeSignature fingerprints a reduced TPG node set: selections reducing
@@ -534,16 +538,6 @@ func nodeSignature(nodes []tpg.Node) string {
 		sb.WriteByte(';')
 	}
 	return sb.String()
-}
-
-// tpgCostKey fingerprints a TPG instance for the tpgcost memo namespace.
-func tpgCostKey(g *tpg.Graph, starts []int) string {
-	f := memo.NewFingerprinter("tpgcost")
-	for _, row := range g.Weight {
-		f.Ints(row)
-	}
-	f.Ints(starts)
-	return f.Key()
 }
 
 // warmFromPrev lifts the previous selection's ordering onto the current
@@ -571,11 +565,11 @@ func warmFromPrev(g *tpg.Graph, nodes []tpg.Node, starts []int, prev []fsm.Patte
 	return atsp.CompletePath(atsp.Matrix(g.Weight), starts, partial)
 }
 
-// validWarmPath reports whether a persisted path is a permutation of the
-// n TPG nodes — the only shape safe to hand the solver as a warm
-// incumbent. Fragments cross process (and version) boundaries, so shape
-// is checked here even though the codec already rejects torn envelopes.
-func validWarmPath(p []int, n int) bool {
+// validFragmentPath reports whether a cached path is a permutation of the
+// n TPG nodes — the only shape safe to map back onto patterns. Fragments
+// cross process (and version) boundaries, so shape is checked here even
+// though the codec already rejects torn envelopes.
+func validFragmentPath(p []int, n int) bool {
 	if len(p) != n {
 		return false
 	}
@@ -589,7 +583,7 @@ func validWarmPath(p []int, n int) bool {
 	return true
 }
 
-// visitCost is the full visit objective of a warm path: start cost of its
+// visitCost is the full visit objective of a path: start cost of its
 // first node plus the path's arc costs.
 func visitCost(g *tpg.Graph, starts []int, p []int) int {
 	return starts[p[0]] + atsp.Matrix(g.Weight).PathCost(p)
@@ -599,8 +593,6 @@ func visitCost(g *tpg.Graph, starts []int, p []int) int {
 type orderConfig struct {
 	// exact requests the exact solve (false: layered heuristics).
 	exact bool
-	// workers is the exact solver's fan-out.
-	workers int
 	// warm is the previous selection's pattern ordering, threaded through
 	// the sweep as the next solve's incumbent seed.
 	warm []fsm.Pattern
@@ -613,12 +605,13 @@ type orderConfig struct {
 // near-optimal path and its reverse are returned. When the exact solvers
 // exhaust the meter's node budget the ordering degrades to the heuristic
 // path automatically and degrade("atsp") records the downgrade. The exact
-// solve fans its branch-and-bound subtrees over cfg.workers goroutines
-// and, with a non-nil cache, is memoised under the weight-matrix
-// fingerprint. The third result reports whether the returned cost is an
-// exact optimum (false after a heuristic downgrade). Whatever the config,
-// the returned orderings and cost are byte-identical — only solver effort
-// varies.
+// solve runs on the calling goroutine, warm-started from cfg.warm, and,
+// with a non-nil cache, is memoised under the weight-matrix fingerprint:
+// a cached tour fragment that answers the instance replaces the solve,
+// and one that does not is re-solved and overwritten. The third result
+// reports whether the returned cost is an exact optimum (false after a
+// heuristic downgrade). Whatever the config, the returned orderings and
+// cost are byte-identical — only solver effort varies.
 func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *memo.Cache, degrade func(string)) ([][]fsm.Pattern, int, bool, error) {
 	g := tpg.New(nodes)
 	if len(nodes) == 1 {
@@ -643,45 +636,23 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 			f.Ints(starts)
 			key = f.Key()
 			if v, ok := cache.Get(key); ok {
-				obs.From(m.Context()).Counter("memo.tour_hits").Inc()
-				frag := v.(*tourFragment)
-				paths, cost, exactCost = frag.paths, frag.cost, true
+				if frag := v.(*tourFragment); frag.answers(g, starts) {
+					obs.From(m.Context()).Counter("memo.tour_hits").Inc()
+					paths, cost, exactCost = frag.paths, frag.cost, true
+				}
 			}
 		}
 		if paths == nil {
-			warmPath := warmFromPrev(g, nodes, starts, cfg.warm)
-			if cache != nil {
-				// A cost fragment left by an earlier run competes with the
-				// sweep neighbour for the warm incumbent: the cheaper path
-				// primes harder, and on a restart the fragment is often
-				// exactly optimal, so the solve short-circuits at the root.
-				// Fragments crossing a process boundary are validated before
-				// use, and a tie keeps the sweep neighbour — runs without a
-				// disk tier behave exactly as before. Warm paths prime node
-				// counts only, never the returned orderings (see
-				// PathOptions).
-				if v, ok := cache.Get(tpgCostKey(g, starts)); ok {
-					obs.From(m.Context()).Counter("memo.tpgcost_hits").Inc()
-					if fp := v.(*tpgCostFragment).path; validWarmPath(fp, len(nodes)) {
-						if warmPath == nil || visitCost(g, starts, fp) < visitCost(g, starts, warmPath) {
-							obs.From(m.Context()).Counter("core.warm.primed").Inc()
-							warmPath = fp
-						}
-					}
-				}
-			}
 			var err error
 			paths, cost, err = atsp.OptimalPathsOpt(m, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{
-				Workers:  cfg.workers,
 				PreferBB: true,
-				WarmPath: warmPath,
+				WarmPath: warmFromPrev(g, nodes, starts, cfg.warm),
 			})
 			switch {
 			case err == nil:
 				exactCost = true
 				if cache != nil {
 					cache.Put(key, &tourFragment{paths: paths, cost: cost})
-					cache.Put(tpgCostKey(g, starts), &tpgCostFragment{cost: cost, path: paths[0]})
 				}
 			case errors.Is(err, budget.ErrBudgetExhausted):
 				degrade("atsp")
@@ -692,7 +663,7 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 		}
 	}
 	if !exact {
-		path, c, err := atsp.PathWorkers(m, atsp.Matrix(g.Weight), starts, false, cfg.workers)
+		path, c, err := atsp.PathOpt(m, atsp.Matrix(g.Weight), starts, false, atsp.PathOptions{})
 		if err != nil {
 			return nil, 0, false, err
 		}

@@ -32,7 +32,7 @@ func coldOrders(t *testing.T, nodes []tpg.Node) ([]string, int) {
 		starts[b] = g.StartCost(b)
 		total += g.NodeCost(b)
 	}
-	paths, cost, err := atsp.OptimalPathsOpt(nil, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{Workers: 1})
+	paths, cost, err := atsp.OptimalPathsOpt(nil, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{})
 	if err != nil {
 		t.Fatalf("cold oracle: %v", err)
 	}
@@ -52,11 +52,10 @@ func coldOrders(t *testing.T, nodes []tpg.Node) ([]string, int) {
 // TestWarmSolvesMatchColdOracle pins the one exact solver path to a cold
 // oracle. For every deduplicated selection of every corpus list, in sweep
 // order, orderPatterns runs warm-started from the previous selection's
-// first ordering, as the inline sweep threads it, at one and four solver
-// workers. It must return exactly the orderings and cost of the cold
-// solve: the warm incumbent may move node counts, never the tied optimal
-// orderings the strict prune keeps. Single-node selections never reach
-// the solver and are skipped.
+// first ordering, as the inline sweep threads it. It must return exactly
+// the orderings and cost of the cold solve: the warm incumbent may move
+// node counts, never the tied optimal orderings the strict prune keeps.
+// Single-node selections never reach the solver and are skipped.
 func TestWarmSolvesMatchColdOracle(t *testing.T) {
 	m := budget.NewMeter(context.Background(), budget.Budget{})
 	for _, list := range coldOracleLists() {
@@ -66,32 +65,30 @@ func TestWarmSolvesMatchColdOracle(t *testing.T) {
 		}
 		classes := tpg.Classes(fault.Instances(models))
 		selections := tpg.Selections(classes, DefaultOptions().SelectionLimit)
-		for _, workers := range []int{1, 4} {
-			var warm []fsm.Pattern
-			seen := map[string]bool{}
-			for i, sel := range selections {
-				nodes := tpg.Reduce(classes, sel)
-				sig := nodeSignature(nodes)
-				if seen[sig] || len(nodes) == 1 {
-					continue
-				}
-				seen[sig] = true
-				cfg := orderConfig{exact: true, workers: workers, warm: warm}
-				orders, cost, exact, err := orderPatterns(m, nodes, cfg, nil, func(string) {})
-				if err != nil || !exact {
-					t.Fatalf("%s selection %d workers=%d: exact=%v err=%v", list, i, workers, exact, err)
-				}
-				got := make([]string, len(orders))
-				for k, o := range orders {
-					got[k] = orderSignature(o)
-				}
-				want, wantCost := coldOrders(t, nodes)
-				if cost != wantCost || !slices.Equal(got, want) {
-					t.Errorf("%s selection %d workers=%d (%d nodes): warm cost %d orderings\n  %q\ncold cost %d orderings\n  %q",
-						list, i, workers, len(nodes), cost, got, wantCost, want)
-				}
-				warm = orders[0]
+		var warm []fsm.Pattern
+		seen := map[string]bool{}
+		for i, sel := range selections {
+			nodes := tpg.Reduce(classes, sel)
+			sig := nodeSignature(nodes)
+			if seen[sig] || len(nodes) == 1 {
+				continue
 			}
+			seen[sig] = true
+			cfg := orderConfig{exact: true, warm: warm}
+			orders, cost, exact, err := orderPatterns(m, nodes, cfg, nil, func(string) {})
+			if err != nil || !exact {
+				t.Fatalf("%s selection %d: exact=%v err=%v", list, i, exact, err)
+			}
+			got := make([]string, len(orders))
+			for k, o := range orders {
+				got[k] = orderSignature(o)
+			}
+			want, wantCost := coldOrders(t, nodes)
+			if cost != wantCost || !slices.Equal(got, want) {
+				t.Errorf("%s selection %d (%d nodes): warm cost %d orderings\n  %q\ncold cost %d orderings\n  %q",
+					list, i, len(nodes), cost, got, wantCost, want)
+			}
+			warm = orders[0]
 		}
 	}
 }

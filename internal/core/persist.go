@@ -9,10 +9,9 @@
 //   - tour fragments: each §5 selection's solved exact-ATSP incumbent
 //     (every optimal open path of one TPG weight matrix plus its cost),
 //     keyed by the weight-matrix fingerprint — the expensive part of a
-//     run, written the moment each selection's solve completes;
-//   - cost fragments: one cost-only exact solve per TPG weight matrix
-//     (the optimal path cost plus a witnessing path), the bound state the
-//     warm-started solvers prime their incumbent from;
+//     run, written the moment each selection's solve completes. A
+//     restarted run's solve of the same matrix is answered by it outright,
+//     after orderPatterns checks it against the instance;
 //   - completeness verdicts: one simulator verdict per candidate March
 //     test, keyed by fault list and test signature.
 //   - whole results: the full cached Result of a completed unbudgeted
@@ -28,6 +27,8 @@
 // bit-parallel kernel. Because memo values are pure functions of their
 // content-hash keys, a resumed run that loads these entries recomputes
 // nothing it already finished and still produces byte-identical output.
+// Entries of a kind this codec no longer writes (the retired "tpgcost"
+// cost fragments of older builds) decode as misses.
 package core
 
 import (
@@ -41,11 +42,10 @@ import (
 // persist tags the on-disk encodings; a version byte first so a future
 // layout change can't misparse old stores.
 const (
-	persistVersion     = 1
-	persistKindTour    = "tour"
-	persistKindBool    = "verdict"
-	persistKindTPGCost = "tpgcost"
-	persistKindResult  = "result"
+	persistVersion    = 1
+	persistKindTour   = "tour"
+	persistKindBool   = "verdict"
+	persistKindResult = "result"
 )
 
 // persistEnvelope is the JSON wrapper around every persisted memo value.
@@ -59,12 +59,6 @@ type persistEnvelope struct {
 type persistTour struct {
 	Paths [][]int `json:"paths"`
 	Cost  int     `json:"cost"`
-}
-
-// persistTPGCost is the wire form of a tpgCostFragment.
-type persistTPGCost struct {
-	Cost int   `json:"cost"`
-	Path []int `json:"path"`
 }
 
 // persistVerdict is one instance's thin coverage row: its verdict and
@@ -111,12 +105,6 @@ func (memoCodec) Encode(val any) ([]byte, bool) {
 			return nil, false
 		}
 		env.Kind, env.Data = persistKindTour, data
-	case *tpgCostFragment:
-		data, err := json.Marshal(persistTPGCost{Cost: v.cost, Path: v.path})
-		if err != nil {
-			return nil, false
-		}
-		env.Kind, env.Data = persistKindTPGCost, data
 	case bool:
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -170,12 +158,6 @@ func (memoCodec) Decode(data []byte) (any, bool) {
 			return nil, false
 		}
 		return &tourFragment{paths: t.Paths, cost: t.Cost}, true
-	case persistKindTPGCost:
-		var t persistTPGCost
-		if json.Unmarshal(env.Data, &t) != nil {
-			return nil, false
-		}
-		return &tpgCostFragment{cost: t.Cost, path: t.Path}, true
 	case persistKindBool:
 		var v bool
 		if json.Unmarshal(env.Data, &v) != nil {

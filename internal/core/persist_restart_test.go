@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -70,11 +71,10 @@ func solverTotal(m map[string]int64) int64 {
 	return m["atsp.heldkarp.states"] + m["atsp.bb.expanded"] + m["atsp.enum.nodes"]
 }
 
-// TestCrossRestartPriming proves the durable warm-priming chain end to
-// end: a second process lifetime over the same tier bytes skips
-// re-solves (whole-result and per-matrix tour hits), and even when only
-// tpgcost fragments survive, they hydrate warm incumbents — with the
-// generated test byte-identical in every lifetime.
+// TestCrossRestartPriming proves the durable chain end to end: a second
+// process lifetime over the same tier bytes skips re-solves (whole-result
+// and per-matrix tour hits), with the generated test byte-identical in
+// every lifetime.
 func TestCrossRestartPriming(t *testing.T) {
 	const list = "SAF,TF,ADF"
 	tier := newMapTier()
@@ -107,65 +107,87 @@ func TestCrossRestartPriming(t *testing.T) {
 	if got, base := solverTotal(thirdM), solverTotal(firstM); 2*got > base {
 		t.Errorf("tour-primed lifetime spent %d solver nodes, first spent %d — expected at least halved", got, base)
 	}
-
-	// Only tpgcost fragments survive: they cannot answer a solve, but
-	// they hydrate the warm incumbent of each first-of-chain solve.
-	fourth, fourthM := primedRun(t, list, tier.without("result", "tour"))
-	if fourth.Test.String() != first.Test.String() {
-		t.Fatalf("cost-primed output %q != original %q", fourth.Test, first.Test)
-	}
-	if fourthM["memo.tpgcost_hits"] == 0 || fourthM["core.warm.primed"] == 0 {
-		t.Fatalf("cost fragments did not prime (tpgcost_hits=%d primed=%d)",
-			fourthM["memo.tpgcost_hits"], fourthM["core.warm.primed"])
-	}
-	if fourthM["atsp.bb.warmshort"] == 0 {
-		t.Errorf("no warm root shortcut fired in the cost-primed lifetime (metrics %v)", fourthM)
-	}
-	if got, base := solverTotal(fourthM), solverTotal(firstM); got > base {
-		t.Errorf("cost-primed lifetime spent %d solver nodes, first spent %d — priming made it worse", got, base)
-	}
 }
 
 // TestCrossRestartRejectsBadFragments locks the safety side: corrupted
-// bytes, version-skewed envelopes and shape-invalid warm paths are all
-// treated as clean misses — the run completes with the byte-identical
-// result and never trusts a bad fragment.
+// bytes, version-skewed envelopes, torn writes and well-formed tour
+// fragments that do not answer their instance — a path through a node the
+// TPG does not have, or a cost its paths do not add up to — are all
+// treated as clean misses. The run completes with the byte-identical
+// result, never trusts a bad fragment, and overwrites every bad tour entry
+// with the one it re-solved.
 func TestCrossRestartRejectsBadFragments(t *testing.T) {
 	const list = "SAF,TF,ADF"
 	tier := newMapTier()
 	first, _ := primedRun(t, list, tier)
 
-	corrupt := newMapTier()
-	tier.mu.Lock()
-	for k, v := range tier.m {
-		switch {
-		case strings.Contains(string(v), `"kind":"tpgcost"`):
-			// Version skew: a future layout must not parse as today's.
-			corrupt.m[k] = []byte(strings.Replace(string(v), `"v":1`, `"v":99`, 1))
-		case strings.Contains(string(v), `"kind":"result"`):
-			// Torn write: truncated JSON.
-			corrupt.m[k] = v[:len(v)/2]
-		default:
-			// Bit rot: garbage bytes under a valid key.
-			corrupt.m[k] = []byte("\x00\xffnot json")
+	badTours := []struct {
+		name string
+		tour func(good []byte) []byte
+	}{
+		// Bit rot: garbage bytes under a valid key.
+		{"garbage", func([]byte) []byte { return []byte("\x00\xffnot json") }},
+		// Node 99 indexes past every reduced TPG of the list.
+		{"out-of-range", func([]byte) []byte {
+			return []byte(`{"v":1,"kind":"tour","data":{"paths":[[0,1,99]],"cost":3}}`)
+		}},
+		// Valid permutations whose visit cost is not the stated one.
+		{"cost-mismatch", func(good []byte) []byte {
+			var env persistEnvelope
+			var tour persistTour
+			if json.Unmarshal(good, &env) != nil || json.Unmarshal(env.Data, &tour) != nil {
+				t.Fatalf("undecodable tier tour entry %q", good)
+			}
+			tour.Cost++
+			env.Data, _ = json.Marshal(tour)
+			out, _ := json.Marshal(env)
+			return out
+		}},
+	}
+	for _, bad := range badTours {
+		corrupt := newMapTier()
+		var tourKeys []string
+		tier.mu.Lock()
+		for k, v := range tier.m {
+			switch {
+			case strings.Contains(string(v), `"kind":"tour"`):
+				tourKeys = append(tourKeys, k)
+				corrupt.m[k] = bad.tour(v)
+			case strings.Contains(string(v), `"kind":"verdict"`):
+				// Version skew: a future layout must not parse as today's.
+				corrupt.m[k] = []byte(strings.Replace(string(v), `"v":1`, `"v":99`, 1))
+			case strings.Contains(string(v), `"kind":"result"`):
+				// Torn write: truncated JSON.
+				corrupt.m[k] = v[:len(v)/2]
+			default:
+				t.Fatalf("unexpected tier entry %q", v)
+			}
 		}
-	}
-	tier.mu.Unlock()
+		tier.mu.Unlock()
+		if len(tourKeys) == 0 {
+			t.Fatal("first lifetime persisted no tour fragments")
+		}
 
-	res, m := primedRun(t, list, corrupt)
-	if res.FromCache {
-		t.Fatal("corrupted result entry served from cache")
-	}
-	if m["memo.tour_hits"] != 0 || m["memo.result_hits"] != 0 || m["core.warm.primed"] != 0 {
-		t.Fatalf("corrupted fragments produced hits (metrics %v)", m)
-	}
-	if res.Test.String() != first.Test.String() {
-		t.Fatalf("output over corrupted tier %q != original %q", res.Test, first.Test)
+		res, m := primedRun(t, list, corrupt)
+		if res.FromCache {
+			t.Fatalf("%s: corrupted result entry served from cache", bad.name)
+		}
+		if m["memo.tour_hits"] != 0 || m["memo.result_hits"] != 0 {
+			t.Fatalf("%s: corrupted fragments produced hits (metrics %v)", bad.name, m)
+		}
+		if res.Test.String() != first.Test.String() {
+			t.Fatalf("%s: output over corrupted tier %q != original %q", bad.name, res.Test, first.Test)
+		}
+		for _, k := range tourKeys {
+			if got, want := corrupt.m[k], tier.m[k]; string(got) != string(want) {
+				t.Errorf("%s: tour entry %s not overwritten by the re-solve:\n got %s\nwant %s", bad.name, k, got, want)
+			}
+		}
 	}
 }
 
-// TestWarmPathValidation pins the fragment-shape gate used before a
-// persisted path may prime a solve.
+// TestWarmPathValidation pins the path-shape gate a cached tour fragment
+// passes before its paths are mapped back onto patterns.
 func TestWarmPathValidation(t *testing.T) {
 	cases := []struct {
 		p  []int
@@ -182,8 +204,8 @@ func TestWarmPathValidation(t *testing.T) {
 		{nil, 0, true},                // empty instance, empty path
 	}
 	for _, c := range cases {
-		if got := validWarmPath(c.p, c.n); got != c.ok {
-			t.Errorf("validWarmPath(%v, %d) = %v, want %v", c.p, c.n, got, c.ok)
+		if got := validFragmentPath(c.p, c.n); got != c.ok {
+			t.Errorf("validFragmentPath(%v, %d) = %v, want %v", c.p, c.n, got, c.ok)
 		}
 	}
 }

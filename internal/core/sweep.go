@@ -203,9 +203,8 @@ func (s *sweep) reduce(classes []tpg.Class) {
 // run streams every selection through produce and fold: on s.workers
 // producers when pooled, else inline. A pooled stream covers only the
 // selections produce solves — the fold has nothing to do for the rest —
-// so the 2×workers window spans real work. Solves run on the caller's
-// worker count inline and on one worker each when pooled: the sweep then
-// owns the parallelism.
+// so the 2×workers window spans real work. Each solve runs on the
+// goroutine that produces it: the sweep owns the parallelism.
 func (s *sweep) run(ctx context.Context) error {
 	var solves, units []int
 	for i := range s.selections {
@@ -218,7 +217,6 @@ func (s *sweep) run(ctx context.Context) error {
 	workers := 1
 	if s.pooled {
 		workers, units = s.workers, solves
-		s.order.workers = 1
 		s.solved = make([]bool, len(s.selections))
 		s.await(units[0])
 	}

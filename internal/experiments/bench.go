@@ -72,7 +72,7 @@ type BenchRow struct {
 	SolverEscalationPrunes int64 `json:"solver_escalation_prunes,omitempty"`
 	// SolverAllocsWarm counts heap allocations of the solver-node run, a
 	// whole single-worker cold-cache generation, tracking the solver's
-	// allocation discipline (pooled assignment states and matrices)
+	// allocation discipline (per-node clones, enumeration-owned scratch)
 	// release over release. SolverAllocsEnumerate is historic: the same
 	// count under the enumerate mode.
 	SolverAllocsEnumerate uint64 `json:"solver_allocs_enumerate,omitempty"`

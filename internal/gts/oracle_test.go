@@ -95,7 +95,7 @@ func optimalOrderings(t *testing.T, list string) [][]fsm.Pattern {
 		for b := range nodes {
 			starts[b] = g.StartCost(b)
 		}
-		paths, _, err := atsp.OptimalPathsOpt(nil, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{Workers: 1, PreferBB: true})
+		paths, _, err := atsp.OptimalPathsOpt(nil, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{PreferBB: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func (p *Progress) Coverage(detected, total int64) {
 	p.coverage.Store(uint64(detected)<<32 | uint64(total))
 }
 
-// AddNodes adds a batch of expanded branch-and-bound nodes. Workers
+// AddNodes adds a batch of expanded branch-and-bound nodes. Solvers
 // batch locally and flush periodically, so this is off the per-node
 // hot path.
 func (p *Progress) AddNodes(n int64) {

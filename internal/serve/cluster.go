@@ -143,7 +143,7 @@ func (s *Server) handleMemoPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // adoptEngineEntry decodes and adopts one engine memo entry (result,
-// tour, tpgcost or verdict kind), persisting the original bytes when a
+// tour or verdict kind), persisting the original bytes when a
 // durable store is configured.
 func (s *Server) adoptEngineEntry(key string, data []byte) bool {
 	v, ok := core.Codec().Decode(data)
