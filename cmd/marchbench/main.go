@@ -21,8 +21,10 @@
 // surfaced as a "pre-kernel" entry) and upserts this run's entry by label,
 // so before/after engine comparisons live in one committed file.
 //
-// Each row also reports the warm-phase memo cache traffic (hits, misses,
-// evictions) and the parallel configuration's worker-pool utilisation,
+// Each row also reports the sequential configuration's per-stage wall
+// time (stage_ns: Stats.StageElapsed of its fastest repetition), the
+// warm-phase memo cache traffic (hits, misses, evictions) and the
+// parallel configuration's worker-pool utilisation,
 // measured on a separate instrumented run so the timed runs stay
 // observation-free. The same instrumented run backs -require-kernel: the
 // flag fails the process when sim.kernel_traces is zero or
@@ -131,14 +133,18 @@ func run() int {
 	for _, spec := range experiments.Table3Spec() {
 		row := experiments.BenchRow{Faults: spec.Faults, PoolWorkers: w}
 		// Sequential: one worker, no cache — the PR 1 engine.
-		seq, t, err := measure(ctx, *reps, spec.Faults,
+		seq, stages, t, err := measure(ctx, *reps, spec.Faults,
 			marchgen.WithWorkers(1), marchgen.WithoutCache())
 		if err != nil {
 			return fail(spec.Faults, err)
 		}
 		row.SequentialNS, row.Test = seq.Nanoseconds(), t
+		row.StageNS = make(map[string]int64, len(stages))
+		for st, d := range stages {
+			row.StageNS[st] = d.Nanoseconds()
+		}
 		// Parallel: full worker pool, still no cache.
-		par, pt, err := measure(ctx, *reps, spec.Faults,
+		par, _, pt, err := measure(ctx, *reps, spec.Faults,
 			marchgen.WithWorkers(w), marchgen.WithoutCache())
 		if err != nil {
 			return fail(spec.Faults, err)
@@ -201,7 +207,7 @@ func run() int {
 			return fail(spec.Faults, err)
 		}
 		cacheBefore := marchgen.CacheSnapshot()
-		warm, wt, err := measure(ctx, *reps, spec.Faults, marchgen.WithWorkers(1))
+		warm, _, wt, err := measure(ctx, *reps, spec.Faults, marchgen.WithWorkers(1))
 		if err != nil {
 			return fail(spec.Faults, err)
 		}
@@ -329,28 +335,31 @@ func measureSolver(row *experiments.BenchRow, faults, baseline string) error {
 	return nil
 }
 
-// measure runs GenerateCtx reps times and returns the minimum wall time
-// plus the generated test's text (identical across repetitions, or the
-// pipeline's determinism is broken and the caller aborts).
-func measure(ctx context.Context, reps int, faults string, opts ...marchgen.Option) (time.Duration, string, error) {
+// measure runs GenerateCtx reps times and returns the minimum wall time,
+// the per-stage breakdown (Stats.StageElapsed) of that fastest
+// repetition, and the generated test's text (identical across
+// repetitions, or the pipeline's determinism is broken and the caller
+// aborts).
+func measure(ctx context.Context, reps int, faults string, opts ...marchgen.Option) (time.Duration, map[string]time.Duration, string, error) {
 	best, text := time.Duration(0), ""
+	var stages map[string]time.Duration
 	for i := 0; i < reps; i++ {
 		t0 := time.Now()
 		res, err := marchgen.GenerateCtx(ctx, faults, opts...)
 		if err != nil {
-			return 0, "", err
+			return 0, nil, "", err
 		}
 		d := time.Since(t0)
 		if i == 0 || d < best {
-			best = d
+			best, stages = d, res.Stats.StageElapsed
 		}
 		if s := res.Test.String(); text == "" {
 			text = s
 		} else if s != text {
-			return 0, "", fmt.Errorf("non-deterministic result: %q vs %q", s, text)
+			return 0, nil, "", fmt.Errorf("non-deterministic result: %q vs %q", s, text)
 		}
 	}
-	return best, text, nil
+	return best, stages, text, nil
 }
 
 // poolUtilization sums the per-worker busy-time counters of one

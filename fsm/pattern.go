@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"marchgen/march"
@@ -117,6 +118,36 @@ func detectsAtLastRead(m Machine, seq []Input) bool {
 		}
 	}
 	return false
+}
+
+// AppendKey appends a compact binary key of the pattern to dst and
+// returns the extended slice. The key encodes exactly what String
+// renders: Init's two bits, the excitation length, then each excitation
+// op and finally Observe, an op being its kind, its cell for reads and
+// writes, and its data for writes. Two patterns have equal keys if and
+// only if their String forms are equal, and the encoding is
+// self-delimiting, so concatenated keys of pattern sequences are equal
+// only when the sequences' keys are. Keys are for in-memory lookups: the
+// encoding is not stable across versions and must not be persisted.
+func (p Pattern) AppendKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(append(dst, byte(p.Init.I), byte(p.Init.J)), uint64(len(p.Excite)))
+	for _, in := range p.Excite {
+		dst = in.appendKey(dst)
+	}
+	return p.Observe.appendKey(dst)
+}
+
+// appendKey appends the input's part of a pattern key: the fields String
+// renders. A read's data and a wait's cell and data are not rendered.
+func (in Input) appendKey(dst []byte) []byte {
+	dst = append(dst, byte(in.Kind))
+	switch in.Kind {
+	case OpRead:
+		return append(dst, byte(in.Cell))
+	case OpWrite:
+		return append(dst, byte(in.Cell), byte(in.Data))
+	}
+	return dst
 }
 
 // String renders the pattern in the paper's triplet notation, e.g.

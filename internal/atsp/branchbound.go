@@ -155,7 +155,9 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) ([]int, int, e
 	// Upper bounds prime the pruning only. Keeping the incumbent tour
 	// empty until the search reaches an optimal leaf itself makes the
 	// returned tour independent of the priming (see the contract above).
-	// The warm tour wins ties with the heuristic one.
+	// The warm tour wins ties with the heuristic one. The heuristic stops
+	// at the first polished tour that meets the root bound: no tour is
+	// cheaper, so it returns what its full scan would.
 	var incTour []int
 	incCost := Inf
 	warmCost := Inf
@@ -164,7 +166,7 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) ([]int, int, e
 		warmCost = m.TourCost(opt.WarmTour)
 	}
 	if !opt.CostOnly || warmCost != lb {
-		if tour, cost := bestHeuristic(m); validTour(n, tour) && cost < Inf {
+		if tour, cost := bestHeuristic(m, lb); validTour(n, tour) && cost < Inf {
 			incTour, incCost = canonical(tour), cost
 		}
 	}

@@ -94,9 +94,18 @@ func GreedyEdge(m Matrix) ([]int, int) {
 // OrOpt improves a tour by relocating segments of length 1..3 to every
 // other position, a direction-preserving local search suited to asymmetric
 // instances (unlike 2-opt, it never reverses a segment). It repeats until
-// no move improves the cost. Candidate moves are built in scratch
-// buffers: seg and rest hold the moved segment and the tour without it,
-// and cand, assembled in place, swaps places with cur on an improvement.
+// no move improves the cost.
+//
+// Each move is priced in constant time from the arcs it changes, not by
+// re-summing the tour. Cutting segment s0..sL from between p and q
+// leaves a cycle rest of cost base = cost − m[p][s0] − m[sL][q] +
+// m[p][q] (the segment's inner arcs stay in base); inserting it between
+// a and b then costs base − m[a][b] + m[a][s0] + m[sL][b]. Integer
+// arithmetic makes the delta exact, Inf arcs included, and when rest is
+// a single node a the m[a][a] terms cancel. Every insertion point of one
+// cut is priced against the tour as it was when that segment was cut,
+// and only an accepted move is built: cand, assembled in place, swaps
+// places with cur.
 func OrOpt(m Matrix, tour []int) ([]int, int) {
 	n := len(tour)
 	cur := append([]int(nil), tour...)
@@ -113,11 +122,16 @@ func OrOpt(m Matrix, tour []int) ([]int, int) {
 			for i := 0; i+segLen <= n; i++ {
 				seg = append(seg[:0], cur[i:i+segLen]...)
 				rest = append(append(rest[:0], cur[:i]...), cur[i+segLen:]...)
-				for k := 0; k <= len(rest); k++ {
-					copy(cand, rest[:k])
-					copy(cand[k:], seg)
-					copy(cand[k+segLen:], rest[k:])
-					if c := m.TourCost(cand); c < cost {
+				s0, sL := seg[0], seg[segLen-1]
+				p, q := cur[(i+n-1)%n], cur[(i+segLen)%n]
+				base := cost - m[p][s0] - m[sL][q] + m[p][q]
+				r := len(rest)
+				for k := 0; k <= r; k++ {
+					a, b := rest[(k+r-1)%r], rest[k%r]
+					if c := base - m[a][b] + m[a][s0] + m[sL][b]; c < cost {
+						copy(cand, rest[:k])
+						copy(cand[k:], seg)
+						copy(cand[k+segLen:], rest[k:])
 						cur, cand = cand, cur
 						cost = c
 						improved = true
@@ -130,22 +144,27 @@ func OrOpt(m Matrix, tour []int) ([]int, int) {
 }
 
 // bestHeuristic returns the best tour among nearest-neighbour from every
-// start and greedy-edge, each polished with or-opt.
-func bestHeuristic(m Matrix) ([]int, int) {
+// start and greedy-edge, each polished with or-opt, in that order; ties
+// keep the earlier tour. It returns as soon as the best polished tour
+// costs at most floor: when floor is a lower bound on every tour's cost,
+// no later tour can be strictly cheaper, so the result is the full
+// scan's. A negative floor scans every construction.
+func bestHeuristic(m Matrix, floor int) ([]int, int) {
 	n := len(m)
 	var best []int
 	bestCost := 0
-	consider := func(t []int, c int) {
+	consider := func(t []int, c int) bool {
 		t, c = OrOpt(m, t)
 		if best == nil || c < bestCost {
 			best, bestCost = t, c
 		}
+		return bestCost <= floor
 	}
 	for s := 0; s < n; s++ {
-		t, c := NearestNeighbor(m, s)
-		consider(t, c)
+		if consider(NearestNeighbor(m, s)) {
+			return canonical(best), bestCost
+		}
 	}
-	t, c := GreedyEdge(m)
-	consider(t, c)
+	consider(GreedyEdge(m))
 	return canonical(best), bestCost
 }

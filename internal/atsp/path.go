@@ -97,7 +97,7 @@ func PathOpt(mt *budget.Meter, m Matrix, startCost []int, exact bool, opt PathOp
 		// The heuristic layer is the degradation target; a span here makes
 		// an atsp downgrade visible in the trace.
 		sp := obs.From(mt.Context()).StartUnder("atsp/heuristic").SetInt("n", int64(n))
-		tour, cost = bestHeuristic(ext)
+		tour, cost = bestHeuristic(ext, 0) // costs are non-negative
 		sp.SetInt("cost", int64(cost)).End()
 	}
 	// Rotate so the dummy leads, then drop it.

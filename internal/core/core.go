@@ -530,14 +530,15 @@ func (f *tourFragment) answers(g *tpg.Graph, starts []int) bool {
 }
 
 // nodeSignature fingerprints a reduced TPG node set: selections reducing
-// to the same patterns are interchangeable for everything downstream.
+// to the same patterns are interchangeable for everything downstream. It
+// concatenates the patterns' self-delimiting keys (fsm.Pattern.AppendKey)
+// and is only ever an in-memory map key.
 func nodeSignature(nodes []tpg.Node) string {
-	var sb strings.Builder
+	sig := make([]byte, 0, 8*len(nodes))
 	for _, n := range nodes {
-		sb.WriteString(n.Pattern.String())
-		sb.WriteByte(';')
+		sig = n.Pattern.AppendKey(sig)
 	}
-	return sb.String()
+	return string(sig)
 }
 
 // warmFromPrev lifts the previous selection's ordering onto the current
@@ -550,12 +551,15 @@ func warmFromPrev(g *tpg.Graph, nodes []tpg.Node, starts []int, prev []fsm.Patte
 		return nil
 	}
 	idx := make(map[string]int, len(nodes))
+	key := make([]byte, 0, 16)
 	for i, nd := range nodes {
-		idx[nd.Pattern.String()] = i
+		key = nd.Pattern.AppendKey(key[:0])
+		idx[string(key)] = i
 	}
 	partial := make([]int, 0, len(prev))
 	for _, p := range prev {
-		if i, ok := idx[p.String()]; ok {
+		key = p.AppendKey(key[:0])
+		if i, ok := idx[string(key)]; ok {
 			partial = append(partial, i)
 		}
 	}
@@ -747,14 +751,14 @@ func (g *genContext) complete(t *march.Test) bool {
 	return v
 }
 
-// orderSignature fingerprints a pattern ordering for deduplication.
+// orderSignature fingerprints a pattern ordering for deduplication, as
+// nodeSignature does a node set.
 func orderSignature(patterns []fsm.Pattern) string {
-	var sb strings.Builder
+	sig := make([]byte, 0, 8*len(patterns))
 	for _, p := range patterns {
-		sb.WriteString(p.String())
-		sb.WriteByte(';')
+		sig = p.AppendKey(sig)
 	}
-	return sb.String()
+	return string(sig)
 }
 
 // shrink removes redundant operations: any operation (or delay element)

@@ -77,6 +77,11 @@ type BenchRow struct {
 	// count under the enumerate mode.
 	SolverAllocsEnumerate uint64 `json:"solver_allocs_enumerate,omitempty"`
 	SolverAllocsWarm      uint64 `json:"solver_allocs_warm,omitempty"`
+	// StageNS is the pipeline-stage breakdown of the fastest sequential
+	// repetition: its Stats.StageElapsed in nanoseconds, keyed by stage
+	// ("expand", "select", "atsp", "assemble", "validate", "shrink",
+	// "finalize"). Entries taken before the column existed omit it.
+	StageNS map[string]int64 `json:"stage_ns,omitempty"`
 }
 
 // BenchEntry is one labelled measurement campaign: a full Table 3 sweep

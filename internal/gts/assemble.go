@@ -292,9 +292,9 @@ type expander struct {
 
 	// cut is the exclusive bound on a kept state's cost (0: none).
 	cut int
-	// The call's counters, published once by publish: beam states
-	// expanded, successors at or past the cut, and whether the beam ran
-	// empty under the cut.
+	// The call's counters, published once by publish with the oracle's
+	// queries and advances: beam states expanded, successors at or past
+	// the cut, and whether the beam ran empty under the cut.
 	expanded, dropped int
 	empty             bool
 }
@@ -309,6 +309,8 @@ func (x *expander) publish(mt *budget.Meter) {
 	run.Counter("gts.assemble.calls").Inc()
 	run.Counter("gts.assemble.expanded").Add(int64(x.expanded))
 	run.Counter("gts.assemble.cut").Add(int64(x.dropped))
+	run.Counter("gts.assemble.queries").Add(int64(x.oracle.queries))
+	run.Counter("gts.assemble.advances").Add(int64(x.oracle.advances))
 	empty := run.Counter("gts.assemble.empty") // registered even at zero
 	if x.empty {
 		empty.Inc()

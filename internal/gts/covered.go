@@ -1,6 +1,8 @@
 package gts
 
 import (
+	"sync"
+
 	"marchgen/fsm"
 	"marchgen/internal/simd"
 	"marchgen/march"
@@ -21,6 +23,38 @@ func syntheticMachine(p fsm.Pattern) fsm.Machine {
 	next := fsm.Unknown.With(p.Observe.Cell, flip)
 	return fsm.WithDeviations("synthetic "+p.String(),
 		fsm.TransitionDev(p.Init, p.Excite[0], next))
+}
+
+// machineTable is the process-wide table of compiled synthetic machines,
+// keyed by fsm.Pattern.AppendKey. syntheticMachine reads only what
+// Pattern.String renders, and equal keys mean equal String forms, so one
+// entry serves every pattern with its key. Entries are immutable once
+// stored and shared by every oracle; the table holds one entry per
+// distinct pattern the process has assembled (the fault library has a
+// few dozen).
+var machineTable = struct {
+	sync.RWMutex
+	byKey map[string]*simd.Compiled
+}{byKey: map[string]*simd.Compiled{}}
+
+// compiledMachine returns p's compiled synthetic machine: from the
+// table, or compiled once and stored on a miss.
+func compiledMachine(p fsm.Pattern) *simd.Compiled {
+	key := p.AppendKey(make([]byte, 0, 16))
+	machineTable.RLock()
+	c := machineTable.byKey[string(key)]
+	machineTable.RUnlock()
+	if c != nil {
+		return c
+	}
+	c = simd.Compile(syntheticMachine(p))
+	machineTable.Lock()
+	defer machineTable.Unlock()
+	if prev := machineTable.byKey[string(key)]; prev != nil {
+		return prev // another goroutine stored it first
+	}
+	machineTable.byKey[string(key)] = c
+	return c
 }
 
 // resolutions are the two ⇕ resolutions the oracle checks: every ⇕
@@ -57,24 +91,28 @@ var coveredHook func(t *march.Test, p fsm.Pattern, covered bool)
 
 // oracle answers the minimisation phase's question — does the partial
 // construction already realise pattern k? — on the 64-lane kernel: the
-// call's synthetic pattern machines are compiled once and packed 16 per
-// block, and a query replays only the construction's open element from
-// its closed-prefix snapshot.
+// call's synthetic pattern machines, compiled once per process (see
+// machineTable), are packed 16 per block, and a query replays only the
+// construction's open element from its closed-prefix snapshot.
 type oracle struct {
 	patterns []fsm.Pattern
 	blocks   []*simd.Block
 	root     *snapshot // the empty prefix
+	// queries counts covered calls and advances the snapshots advance
+	// built, for the gts.assemble.{queries,advances} counters.
+	queries, advances int
 }
 
-// newOracle compiles the patterns' synthetic machines into blocks and
-// sets up the empty prefix's snapshot.
+// newOracle packs the patterns' compiled synthetic machines into blocks
+// and sets up the empty prefix's snapshot. A block's packing follows the
+// call's ordering, so blocks are built per call.
 func newOracle(patterns []fsm.Pattern) (*oracle, error) {
 	o := &oracle{patterns: patterns}
 	for lo := 0; lo < len(patterns); lo += simd.BlockInstances {
 		hi := min(lo+simd.BlockInstances, len(patterns))
 		machines := make([]*simd.Compiled, 0, hi-lo)
 		for _, p := range patterns[lo:hi] {
-			machines = append(machines, simd.Compile(syntheticMachine(p)))
+			machines = append(machines, compiledMachine(p))
 		}
 		b, err := simd.NewBlock(machines)
 		if err != nil {
@@ -100,6 +138,7 @@ func newOracle(patterns []fsm.Pattern) (*oracle, error) {
 // element (withRead). Both answers come from one replay of the open
 // element per resolution.
 func (o *oracle) covered(st *state, k int) (asIs, withRead bool) {
+	o.queries++
 	if len(st.elems) == 0 {
 		return false, false
 	}
@@ -147,6 +186,7 @@ func (o *oracle) advance(st *state) *snapshot {
 	if prev.n == closed {
 		return prev
 	}
+	o.advances++
 	next := &snapshot{n: closed, good: prev.good, lanes: append([]blockLanes(nil), prev.lanes...)}
 	nb := len(o.blocks)
 	for r, dir := range resolutions {

@@ -204,10 +204,29 @@ func Reduce(classes []Class, sel Selection) []Node {
 			}
 		}
 	}
-	sort.Slice(nodes, func(a, b int) bool {
-		return nodes[a].Pattern.String() < nodes[b].Pattern.String()
-	})
+	// Node order feeds the TPG, the ATSP and the output, so nodes stay
+	// sorted by their patterns' String forms, each rendered once.
+	keys := make([]string, len(nodes))
+	for k := range nodes {
+		keys[k] = nodes[k].Pattern.String()
+	}
+	sort.Sort(byPattern{nodes, keys})
 	return nodes
+}
+
+// byPattern sorts nodes by their patterns' String forms, held in keys and
+// swapped with the nodes. sort.Sort and sort.Slice run the same pdqsort,
+// so ties land where a sort.Slice on the nodes would put them.
+type byPattern struct {
+	nodes []Node
+	keys  []string
+}
+
+func (s byPattern) Len() int           { return len(s.nodes) }
+func (s byPattern) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
+func (s byPattern) Swap(a, b int) {
+	s.nodes[a], s.nodes[b] = s.nodes[b], s.nodes[a]
+	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
 }
 
 // Selections enumerates option choices per class, but collapses the
