@@ -38,7 +38,7 @@ func run() int {
 	perInstance := flag.Bool("per-instance", false, "print one line per fault instance")
 	timeout := flag.Duration("timeout", 0, "hard deadline; past it the run aborts (0: none)")
 	budgetSpec := flag.String("budget", "", "soft budget, e.g. soft=2s: past the soft deadline the optional n-cell re-validation is skipped")
-	workers := flag.Int("workers", 0, "worker pool size for the per-fault simulation (0: GOMAXPROCS); the report is identical at any count")
+	workers := flag.Int("workers", 0, "worker pool size for the redundancy audit's trial removals and the n-cell check's placements (0: GOMAXPROCS); the report is identical at any count")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 

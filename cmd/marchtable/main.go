@@ -2,9 +2,13 @@
 // evaluation and, with -write, refreshes EXPERIMENTS.md:
 //
 //	marchtable                # print Table 3, Figure 4 and the comparisons
-//	marchtable -write         # rewrite EXPERIMENTS.md in the repo root
+//	marchtable -write         # regenerate EXPERIMENTS.md above its marker line
 //	marchtable -write -deep   # include the ~20 s optimality certifications
 //	marchtable -trace report.jsonl -pprof localhost:6060
+//
+// With -write, the file's text from experiments.HandWrittenMarker on (the
+// hand-written measurement records) is kept as it is; a file without the
+// marker is left untouched and the command fails.
 //
 // Observability: -trace/-chrome-trace/-metrics/-pprof observe the whole
 // report regeneration (every table row's generation pipeline is spanned);
@@ -13,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"marchgen/internal/experiments"
@@ -24,7 +30,7 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	write := flag.Bool("write", false, "rewrite EXPERIMENTS.md instead of printing to stdout")
+	write := flag.Bool("write", false, "regenerate EXPERIMENTS.md above its hand-written marker line instead of printing to stdout")
 	out := flag.String("o", "EXPERIMENTS.md", "output path used with -write")
 	deep := flag.Bool("deep", false, "include the heavyweight branch-and-bound certifications")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -47,7 +53,17 @@ func run() int {
 		fmt.Print(body)
 		return 0
 	}
-	if err := os.WriteFile(*out, []byte(body), 0o644); err != nil {
+	old, err := os.ReadFile(*out)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintln(os.Stderr, "marchtable:", err)
+		return 1
+	}
+	text, err := experiments.SpliceReport(body, string(old))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "marchtable: %s: %v\n", *out, err)
+		return 1
+	}
+	if err := os.WriteFile(*out, []byte(text), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "marchtable:", err)
 		return 1
 	}

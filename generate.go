@@ -51,11 +51,12 @@ func WithBeamWidth(n int) Option {
 }
 
 // WithWorkers bounds the generation worker pool: the §5 selection sweep
-// (each selection's exact solve and assembly), per-fault simulation and
-// coverage-matrix rows fan out over at most n goroutines; each exact solve
-// runs on one of them. n == 0 (the default) uses GOMAXPROCS; a negative n
-// is rejected with ErrUsage. The generated test and every statistic except
-// timing are byte-identical at any worker count.
+// (each selection's exact solve and assembly) runs on at most n
+// goroutines, the only parallelism inside one generation; each exact
+// solve and each fault-simulator evaluation runs on one goroutine. n == 0
+// (the default) uses GOMAXPROCS; a negative n is rejected with ErrUsage.
+// The generated test and every statistic except timing are
+// byte-identical at any worker count.
 func WithWorkers(n int) Option {
 	return func(o *core.Options) { o.Workers = n }
 }

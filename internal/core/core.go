@@ -54,22 +54,17 @@ type Options struct {
 	// DisableEquivalence forces one TPG node per BFE instead of one per
 	// equivalence class (the Section 5 ablation).
 	DisableEquivalence bool
-	// DisableFallback turns off the bounded branch-and-bound fallback
-	// used when an exotic user-defined fault falls outside the rewrite
-	// grammar (the pipeline then fails instead of searching).
-	DisableFallback bool
-	// FallbackCap bounds the fallback search complexity (default 12).
-	FallbackCap int
 	// Budget bounds the resources the run may spend; zero means
 	// unlimited. Exhaustion degrades the result (see Result.Degraded)
 	// instead of failing, unless no valid candidate exists yet.
 	Budget budget.Budget
-	// Workers bounds the worker pool fanning out the §5 selection sweep
-	// (each selection's exact solve and assembly, see sweep.go), per-fault
-	// simulation and coverage-matrix rows (0: use GOMAXPROCS; negative is
-	// rejected as a usage error). Each exact solve runs on one goroutine,
-	// and budgeted runs sweep on one producer. Results are byte-identical
-	// at any worker count.
+	// Workers bounds the goroutines of the §5 selection sweep: its
+	// up-front TPG reductions and its producers (each selection's exact
+	// solve and assembly, see sweep.go). 0 uses GOMAXPROCS and a
+	// negative count is rejected as a usage error. The sweep is the only
+	// parallelism in a run: each exact solve and each fault-simulator
+	// evaluation runs on one goroutine, and budgeted runs sweep on one
+	// producer. Results are byte-identical at any worker count.
 	Workers int
 	// Cache, when non-nil, memoises coverage matrices, solved tour
 	// fragments, completeness verdicts and whole results under
@@ -297,7 +292,6 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		faultKey:    faultKey,
 		verdict:     map[string]bool{},
 		meter:       m,
-		workers:     workers,
 		cache:       cache,
 		verdictHits: run.Counter("memo.verdict_hits"),
 	}
@@ -329,9 +323,9 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	if sw.acc.minSel >= 0 {
 		res.MinSelectionCost = sw.acc.minSel
 	}
-	if best == nil && !opts.DisableFallback {
+	if best == nil {
 		stages.Enter("fallback")
-		fb, err := fallbackSearch(m, instances, opts, degrade)
+		fb, err := fallbackSearch(m, instances, degrade)
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +349,7 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	if gen.err != nil {
 		return nil, gen.err
 	}
-	cov, err := sim.EvaluateWorkers(ctx, best, instances, workers)
+	cov, err := sim.EvaluateCtx(ctx, best, instances)
 	if err != nil {
 		return nil, err
 	}
@@ -397,8 +391,6 @@ func resultKey(faultKey string, opts Options) string {
 		Int(opts.Beam.MaxCandidates).
 		Bool(opts.DisableShrink).
 		Bool(opts.DisableEquivalence).
-		Bool(opts.DisableFallback).
-		Int(opts.FallbackCap).
 		Key()
 }
 
@@ -448,17 +440,17 @@ func (c *cachedResult) result(start time.Time, instances []fault.Instance) *Resu
 	}
 }
 
+// fallbackCap bounds the complexity (operations per cell) of the tests
+// the fallback search considers.
+const fallbackCap = 12
+
 // fallbackSearch runs the bounded branch-and-bound generator when the
 // rewrite grammar cannot realise some pattern of an exotic user-defined
 // fault. Retention faults are excluded (the search space has no delay
 // elements). The returned error is non-nil only on hard cancellation; a
 // fruitless or soft-exhausted search returns (nil, nil) and lets the
 // caller report the overall failure.
-func fallbackSearch(m *budget.Meter, instances []fault.Instance, opts Options, degrade func(string)) (*march.Test, error) {
-	cap := opts.FallbackCap
-	if cap <= 0 {
-		cap = 12
-	}
+func fallbackSearch(m *budget.Meter, instances []fault.Instance, degrade func(string)) (*march.Test, error) {
 	for _, inst := range instances {
 		for _, b := range inst.BFEs {
 			for _, in := range b.Pattern.Excite {
@@ -468,7 +460,7 @@ func fallbackSearch(m *budget.Meter, instances []fault.Instance, opts Options, d
 			}
 		}
 	}
-	t, _, err := baseline.BranchBoundMeter(m, instances, cap)
+	t, _, err := baseline.BranchBoundMeter(m, instances, fallbackCap)
 	if err != nil {
 		if budget.IsHard(err) {
 			return nil, err
@@ -700,7 +692,6 @@ type genContext struct {
 	faultKey string
 	verdict  map[string]bool
 	meter    *budget.Meter
-	workers  int
 	// cache, when non-nil, shares completeness verdicts across Generate
 	// calls (the run-local verdict map still deduplicates within a run).
 	cache *memo.Cache
@@ -738,7 +729,7 @@ func (g *genContext) complete(t *march.Test) bool {
 			return v.(bool)
 		}
 	}
-	cov, err := sim.EvaluateWorkers(g.ctx, t, g.instances, g.workers)
+	cov, err := sim.EvaluateCtx(g.ctx, t, g.instances)
 	if err != nil && budget.IsHard(err) {
 		g.err = err
 		return false

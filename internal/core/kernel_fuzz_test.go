@@ -60,11 +60,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 					names[int(testPick)%len(names)], w.Instance.Name, g.Detected, g.DetectingOps, w.Detected, w.DetectingOps)
 			}
 		}
-		wantRuns, err := sim.RunsBatch(ctx, mt.Test, instances, 1, sim.Scalar)
+		wantRuns, err := sim.RunsBatch(ctx, mt.Test, instances, sim.Scalar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRuns, err := sim.RunsBatch(ctx, mt.Test, instances, 1, sim.Kernel)
+		gotRuns, err := sim.RunsBatch(ctx, mt.Test, instances, sim.Kernel)
 		if err != nil {
 			t.Fatal(err)
 		}

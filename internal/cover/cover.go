@@ -43,7 +43,7 @@ type Matrix struct {
 // It fails when some fault condition has no mismatching read at all — the
 // matrix is only meaningful for complete tests.
 func Build(t *march.Test, instances []fault.Instance) (*Matrix, error) {
-	return BuildWorkers(context.Background(), t, instances, 1, nil)
+	return BuildCtx(context.Background(), t, instances, nil)
 }
 
 // At reports whether block r observes a mismatch for fault condition c.
@@ -68,14 +68,13 @@ func matrixKey(t *march.Test, instances []fault.Instance) string {
 	return memo.NewFingerprinter("cover").Str(t.String()).Str(fault.Key(instances)).Key()
 }
 
-// BuildWorkers is Build with the per-instance row construction fanned out
-// over a bounded worker pool (workers <= 0: GOMAXPROCS) and, when cache is
-// non-nil, memoised under the canonical (test, fault list) fingerprint.
-// Columns are assembled in instance order, so the matrix is byte-identical
-// to the sequential build at any worker count, warm or cold. The context
-// carries the observability run (when one is attached): the build gets a
+// BuildCtx is Build under a context and, when cache is non-nil, memoised
+// under the canonical (test, fault list) fingerprint; the matrix is
+// byte-identical warm or cold. The per-run simulation is one
+// sim.RunsBatch call on the caller's goroutine. The context carries the
+// observability run (when one is attached): the build gets a
 // verify/cover span and the matrix shape lands in the run's metrics.
-func BuildWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, cache *memo.Cache) (*Matrix, error) {
+func BuildCtx(ctx context.Context, t *march.Test, instances []fault.Instance, cache *memo.Cache) (*Matrix, error) {
 	run := obs.From(ctx)
 	sp := run.StartUnder("verify/cover").SetInt("instances", int64(len(instances)))
 	var key string
@@ -93,7 +92,7 @@ func BuildWorkers(ctx context.Context, t *march.Test, instances []fault.Instance
 		label string
 		ops   []int
 	}
-	perInstance, err := sim.RunsBatch(ctx, t, instances, workers, sim.Kernel)
+	perInstance, err := sim.RunsBatch(ctx, t, instances, sim.Kernel)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -286,12 +285,13 @@ func Analyze(t *march.Test, instances []fault.Instance) (*Report, error) {
 	return AnalyzeWorkers(context.Background(), t, instances, 1, nil)
 }
 
-// AnalyzeWorkers is Analyze on the parallel engine: matrix rows and the
-// op-level removability audit fan out over a bounded worker pool, and a
-// non-nil cache memoises the coverage matrix across runs. The report is
-// byte-identical to the sequential analysis at any worker count.
+// AnalyzeWorkers is Analyze on the parallel engine: the op-level
+// removability audit's trial removals fan out over a bounded worker pool
+// (see RemovableOpsWorkers), and a non-nil cache memoises the coverage
+// matrix across runs. The report is byte-identical to the sequential
+// analysis at any worker count.
 func AnalyzeWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, cache *memo.Cache) (*Report, error) {
-	m, err := BuildWorkers(ctx, t, instances, workers, cache)
+	m, err := BuildCtx(ctx, t, instances, cache)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -160,5 +162,44 @@ func TestEquivalentKnownColumn(t *testing.T) {
 	}
 	if k <= 5 {
 		t.Errorf("a classic test (%s, %dn) matches the generated 5n CFin test; the paper's Not Found would be wrong", name, k)
+	}
+}
+
+// TestSpliceKeepsHandWrittenSections splices a stand-in report body onto
+// the committed EXPERIMENTS.md, as marchtable -write does: every heading
+// from the marker line on must survive, the generated text above the
+// marker must be replaced, and a file without the marker is refused.
+func TestSpliceKeepsHandWrittenSections(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Skipf("no committed EXPERIMENTS.md: %v", err)
+	}
+	committed := string(data)
+	i := strings.Index(committed, HandWrittenMarker)
+	if i < 0 {
+		t.Fatal("committed EXPERIMENTS.md has no hand-written marker line")
+	}
+	const body = "# EXPERIMENTS — stand-in body\n"
+	got, err := SpliceReport(body, committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(got, body) || strings.Contains(got, "## Table 3") {
+		t.Error("the generated text above the marker was not replaced")
+	}
+	headings := 0
+	for _, line := range strings.Split(committed[i:], "\n") {
+		if strings.HasPrefix(line, "#") {
+			headings++
+			if !strings.Contains(got, "\n"+line+"\n") {
+				t.Errorf("heading %q lost by the splice", line)
+			}
+		}
+	}
+	if headings == 0 {
+		t.Error("no heading below the marker")
+	}
+	if _, err := SpliceReport(body, committed[:i]); err == nil {
+		t.Error("a file without the marker was overwritten")
 	}
 }

@@ -2,10 +2,32 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 )
+
+// HandWrittenMarker is the line of EXPERIMENTS.md that separates the
+// report Report generates (above it) from the hand-written measurement
+// records (from it on), which no code regenerates.
+const HandWrittenMarker = "<!-- marchtable -write regenerates the text above this line and keeps the text below it -->"
+
+// SpliceReport returns the file marchtable -write writes: the generated
+// body followed by existing's text from HandWrittenMarker on, so a
+// regeneration keeps the hand-written records. An empty existing file
+// gets the marker alone; a non-empty one without the marker is an error,
+// because overwriting it would drop whatever it holds.
+func SpliceReport(body, existing string) (string, error) {
+	if existing == "" {
+		return body + "\n" + HandWrittenMarker + "\n", nil
+	}
+	i := strings.Index(existing, HandWrittenMarker)
+	if i < 0 {
+		return "", errors.New("experiments: the existing report has no hand-written marker line; refusing to overwrite it")
+	}
+	return body + "\n" + existing[i:], nil
+}
 
 // FormatFigure4 renders the Figure 4 TPG as a markdown weight matrix with
 // the paper's TP1..TP4 node names.
@@ -54,7 +76,9 @@ func ReportCtx(ctx context.Context, deep bool) (string, error) {
 	b.WriteString(`# EXPERIMENTS — paper vs. this reproduction
 
 Regenerate this file with ` + "`go run ./cmd/marchtable -write`" + `
-(add ` + "`-deep`" + ` for the branch-and-bound optimality certifications).
+(add ` + "`-deep`" + ` for the branch-and-bound optimality certifications). It
+rewrites the text above the "Measurement records" marker and keeps the
+hand-written records below it.
 
 Paper: Benso, Di Carlo, Di Natale, Prinetto, *An Optimal Algorithm for the
 Automatic Generation of March Tests*, DATE 2002. The paper's timings were
@@ -195,8 +219,8 @@ allocations per evaluation from ` + "`runtime.MemStats`" + ` deltas. Equivalence
 the two engines is not assumed: the differential suite
 (` + "`TestKernelMatchesScalarFullLibrary`" + `, ` + "`FuzzKernelEquivalence`" + `) pins the
 kernel to the scalar oracle result-for-result over the entire fault
-library, and CI's bench smoke runs with ` + "`-require-kernel`" + `, failing if the
-kernel silently falls back to the scalar path.
+library, and CI's bench smoke runs with ` + "`-require-kernel`" + `, failing if a
+generation runs no kernel trace.
 `)
 	if bf, err := LoadBenchFile("BENCH_generate.json"); err == nil {
 		if tbl := FormatBenchKernel(bf.Entry("kernel")); tbl != "" {
@@ -217,9 +241,9 @@ the ordering of the selection before it; that is the one exact solver
 path. Bound quality is measured, not assumed:
 
 - **Admissibility** — ` + "`TestAPBoundAdmissible`" + ` instruments every node of
-  randomized instances (n ≤ 9, sequential and 4-way parallel, under the
-  race detector) and asserts the AP bound never exceeds the brute-force
-  optimum of that node's own subproblem.
+  randomized instances (n ≤ 9, under the race detector) and asserts the
+  AP bound never exceeds the brute-force optimum of that node's own
+  subproblem.
 - **Tightness** — on TPG matrices the root AP bound almost always equals
   the warm-started incumbent (the previous selection's patched tour), so
   cost-only solves finish at the root with zero branching. The per-row

@@ -16,9 +16,4 @@ const (
 	CounterKernelBlockHits = "simd.block_cache_hits"
 	// CounterKernelBlockCompiles counts compiled-LUT blocks built fresh.
 	CounterKernelBlockCompiles = "simd.block_compiles"
-	// CounterScalarFallbacks counts evaluations that requested the
-	// kernel but fell back to the scalar reference engine. The CI bench
-	// smoke fails when this is non-zero: a silent fallback would regress
-	// the hot path to the slow engine without failing any test.
-	CounterScalarFallbacks = "sim.scalar_fallbacks"
 )

@@ -12,8 +12,9 @@
 //   - the peer memo tier: the shared memo cache's second level becomes
 //     local-store-then-peers (cluster.PeerTier), and two internal
 //     endpoints expose/accept raw entry bytes. GETs answer strictly
-//     from local holdings (store, then in-memory caches) — never from
-//     the peer tier, which is what makes peer fetches recursion-free.
+//     from local holdings (store, then the shared memo cache) — never
+//     from the peer tier, which is what makes peer fetches
+//     recursion-free.
 package serve
 
 import (
@@ -25,13 +26,11 @@ import (
 	"marchgen/internal/core"
 	"marchgen/internal/jobs"
 	"marchgen/internal/memo"
-	"marchgen/internal/simd"
 )
 
-// initCluster wires the replica set into a new Server: the peer client,
-// the peer memo tier under the shared cache (layered over the durable
-// store tier when one is configured) and the peer tier under the
-// kernel's LUT cache.
+// initCluster wires the replica set into a new Server: the peer client
+// and the peer memo tier under the shared cache (layered over the
+// durable store tier when one is configured).
 func (s *Server) initCluster() {
 	others := 0
 	for _, p := range s.cfg.Peers {
@@ -49,7 +48,6 @@ func (s *Server) initCluster() {
 		local = jobs.MemoTier(s.store)
 	}
 	memo.Shared().AttachDisk(cluster.NewPeerTier(local, cl), core.Codec())
-	simd.AttachLUTTier(cluster.NewPeerTier(nil, cl))
 }
 
 // validMemoKey guards the internal memo endpoints' path parameter:
@@ -70,9 +68,8 @@ func validMemoKey(key string) bool {
 
 // handleMemoGet serves GET /v1/internal/memo/{key}: the raw encoded
 // bytes of a locally-held memo entry — durable store first, then the
-// in-memory result/fragment cache, then the kernel LUT cache. Strictly
-// local: the peer tier is never consulted, so peers probing each other
-// cannot recurse.
+// shared in-memory memo cache. Strictly local: the peer tier is never
+// consulted, so peers probing each other cannot recurse.
 func (s *Server) handleMemoGet(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeErrorNoReq(w, http.StatusServiceUnavailable, "cluster_disabled", "this server is not part of a replica set")
@@ -103,19 +100,16 @@ func (s *Server) localMemoBytes(key string) ([]byte, bool) {
 		}
 	}
 	if v, ok := memo.Shared().Peek(key); ok {
-		if data, ok := core.Codec().Encode(v); ok {
-			return data, true
-		}
+		return core.Codec().Encode(v)
 	}
-	return simd.PeekEncoded(key)
+	return nil, false
 }
 
 // handleMemoPut serves POST /v1/internal/memo/{key}: a peer offering
 // entry bytes for adoption (the replication leg of the peer tier).
 // Recognised engine entries are adopted into the in-memory cache and,
-// when a store is configured, persisted; LUT entries are adopted into
-// the kernel cache. Unrecognised bytes are rejected — a replica never
-// stores what it cannot decode.
+// when a store is configured, persisted. Unrecognised bytes are
+// rejected — a replica never stores what it cannot decode.
 func (s *Server) handleMemoPut(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeErrorNoReq(w, http.StatusServiceUnavailable, "cluster_disabled", "this server is not part of a replica set")
@@ -131,10 +125,7 @@ func (s *Server) handleMemoPut(w http.ResponseWriter, r *http.Request) {
 		writeErrorNoReq(w, http.StatusBadRequest, "bad_request", "unreadable entry body")
 		return
 	}
-	switch {
-	case s.adoptEngineEntry(key, data):
-	case simd.AdoptEncoded(key, data):
-	default:
+	if !s.adoptEngineEntry(key, data) {
 		writeErrorNoReq(w, http.StatusBadRequest, "bad_request", "unrecognised entry encoding")
 		return
 	}

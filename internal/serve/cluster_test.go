@@ -16,7 +16,6 @@ import (
 	"marchgen/internal/core"
 	"marchgen/internal/memo"
 	"marchgen/internal/obs"
-	"marchgen/internal/simd"
 )
 
 // clusterMemTier is an in-memory memo.DiskTier for the cold-replica
@@ -76,7 +75,6 @@ func resetClusterGlobals(t *testing.T) {
 	t.Helper()
 	t.Cleanup(func() {
 		memo.Shared().DetachDisk()
-		simd.DetachLUTTier()
 		marchgen.ResetCache()
 	})
 	marchgen.ResetCache()
@@ -230,7 +228,8 @@ func TestForwardOrServe(t *testing.T) {
 }
 
 // TestMemoEndpoints locks the internal memo endpoints: key validation,
-// clean 404 misses, rejection of undecodable offers, and a full
+// clean 404 misses, rejection of undecodable offers (the compiled-LUT
+// wire form included: replicas no longer share LUTs), and a full
 // offer-then-fetch round trip through the shared cache.
 func TestMemoEndpoints(t *testing.T) {
 	resetClusterGlobals(t)
@@ -269,6 +268,12 @@ func TestMemoEndpoints(t *testing.T) {
 	}
 	if resp := put(key, []byte("not an encoded entry")); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage PUT: %d, want 400", resp.StatusCode)
+	}
+	const lut = `{"v":1,"name":"SA0",` +
+		`"next":[[0,0,0,1,0,0,0],[1,1,0,1,1,1,1],[2,2,0,1,2,2,2],[0,0,3,4,3,3,3],[1,1,3,4,4,4,4],[2,2,3,4,5,5,5],[0,0,6,7,6,6,6],[1,1,6,7,7,7,7],[2,2,6,7,8,8,8]],` +
+		`"out":[[2,2,2,2,0,0,2],[2,2,2,2,0,1,2],[2,2,2,2,0,2,2],[2,2,2,2,1,0,2],[2,2,2,2,1,1,2],[2,2,2,2,1,2,2],[2,2,2,2,2,0,2],[2,2,2,2,2,1,2],[2,2,2,2,2,2,2]]}`
+	if resp := put(key, []byte(lut)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("LUT PUT: %d, want 400", resp.StatusCode)
 	}
 
 	entry, ok := core.Codec().Encode(true) // a verdict entry

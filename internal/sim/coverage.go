@@ -93,33 +93,33 @@ func Evaluate(t *march.Test, instances []fault.Instance) (Coverage, error) {
 	return EvaluateCtx(context.Background(), t, instances)
 }
 
-// EvaluateCtx is Evaluate with cancellation: the per-instance loop checks
+// EvaluateCtx is Evaluate with cancellation: the per-block loop checks
 // ctx and aborts with a typed error (budget.ErrCanceled or
-// budget.ErrDeadlineExceeded).
+// budget.ErrDeadlineExceeded). The evaluation runs on the bit-parallel
+// kernel, on the caller's goroutine.
 func EvaluateCtx(ctx context.Context, t *march.Test, instances []fault.Instance) (Coverage, error) {
-	return EvaluateWorkers(ctx, t, instances, 1)
+	return EvaluateEngine(ctx, t, instances, 1, Kernel)
 }
 
-// parallelThreshold is the instance count below which the per-fault
-// fan-out is not worth the goroutine hand-off and the evaluation runs
-// inline even with workers > 1.
-const parallelThreshold = 16
-
-// EvaluateWorkers is EvaluateCtx with the per-fault simulation fanned out
-// over a bounded worker pool (workers <= 0: GOMAXPROCS). It runs on the
-// bit-parallel kernel; results are collected in instance order, so the
-// Coverage is byte-identical to the sequential evaluation at any worker
-// count.
+// EvaluateWorkers is EvaluateCtx; the worker count is ignored. An
+// evaluation runs on its caller's goroutine: its work units are one
+// 16-instance block each, tens of microseconds, too small for a
+// fan-out to pay (splitting two blocks over two goroutines measured
+// slower than running them inline), and in a generation the selection
+// sweep's producers already hold the cores. The parameter stays because
+// callers outside this module (the repository benchmark's layer replay)
+// pass it.
 func EvaluateWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, workers int) (Coverage, error) {
 	return EvaluateEngine(ctx, t, instances, workers, Kernel)
 }
 
-// EvaluateEngine is EvaluateWorkers with an explicit engine choice. The
-// scalar engine is the reference oracle the differential tests compare
-// the kernel against; production callers use Kernel (and silently fall
-// back to Scalar only if block compilation fails, bumping the
-// sim.scalar_fallbacks counter).
-func EvaluateEngine(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, engine Engine) (Coverage, error) {
+// EvaluateEngine is EvaluateCtx with an explicit engine choice; the
+// worker count is ignored, as in EvaluateWorkers. The scalar engine is
+// the reference oracle the differential tests compare the kernel
+// against; production callers use Kernel. A kernel evaluation whose
+// blocks fail to compile returns that error instead of switching
+// engines.
+func EvaluateEngine(ctx context.Context, t *march.Test, instances []fault.Instance, _ int, engine Engine) (Coverage, error) {
 	run := obs.From(ctx)
 	var sp *obs.Span
 	if run != nil {
@@ -132,7 +132,7 @@ func EvaluateEngine(ctx context.Context, t *march.Test, instances []fault.Instan
 			sp.End()
 		}()
 	}
-	cov, err := evaluateDispatch(ctx, t, instances, workers, engine, run)
+	cov, err := evaluateDispatch(ctx, t, instances, engine, run)
 	if err == nil && run != nil {
 		// Publish the evaluation as live coverage progress and stamp the
 		// detected count on the span: one count per evaluation, far off
@@ -146,7 +146,7 @@ func EvaluateEngine(ctx context.Context, t *march.Test, instances []fault.Instan
 
 // evaluateDispatch picks the engine and runs the evaluation; split from
 // EvaluateEngine so the observation wrapper sees the Coverage it returns.
-func evaluateDispatch(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, engine Engine, run *obs.Run) (Coverage, error) {
+func evaluateDispatch(ctx context.Context, t *march.Test, instances []fault.Instance, engine Engine, run *obs.Run) (Coverage, error) {
 	if err := SelfConsistent(t); err != nil {
 		return Coverage{}, err
 	}
@@ -154,26 +154,23 @@ func evaluateDispatch(ctx context.Context, t *march.Test, instances []fault.Inst
 	if err != nil {
 		return Coverage{}, err
 	}
-	if engine == Kernel && len(instances) > 0 {
-		blocks, hits, compiles, berr := simd.CompiledBlocks(instances)
-		if berr != nil {
-			if run != nil {
-				run.Counter(obs.CounterScalarFallbacks).Inc()
-			}
-		} else {
-			traces := kernelTraces(t, resolutions)
-			observeKernel(run, blocks, hits, compiles, len(traces), len(instances))
-			return evaluateKernel(ctx, t, instances, workers, traces, blocks)
-		}
+	if engine == Scalar || len(instances) == 0 {
+		return evaluateScalar(ctx, t, instances, resolutions)
 	}
-	return evaluateScalar(ctx, t, instances, workers, resolutions)
+	blocks, hits, compiles, err := simd.CompiledBlocks(instances)
+	if err != nil {
+		return Coverage{}, fmt.Errorf("sim: kernel blocks: %w", err)
+	}
+	traces := kernelTraces(t, resolutions)
+	observeKernel(run, blocks, hits, compiles, len(traces), len(instances))
+	return evaluateKernel(ctx, t, instances, traces, blocks)
 }
 
 // evaluateScalar is the reference implementation: per instance, the
 // closure-dispatch machine is walked over every resolution's trace with
 // fsm.Detects / fsm.DetectingReads. The per-op detection tallies use a
 // flat counter row indexed by flattened operation position.
-func evaluateScalar(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, resolutions [][]march.Order) (Coverage, error) {
+func evaluateScalar(ctx context.Context, t *march.Test, instances []fault.Instance, resolutions [][]march.Order) (Coverage, error) {
 	type traced struct {
 		trace     []fsm.Input
 		positions []int
@@ -183,12 +180,14 @@ func evaluateScalar(ctx context.Context, t *march.Test, instances []fault.Instan
 		tr, pos := Trace(t, res)
 		traces[k] = traced{tr, pos}
 	}
-	numOps := len(t.Ops())
-	one := func(inst fault.Instance, detecting []int) InstanceResult {
-		r := InstanceResult{Instance: inst, Detected: true}
-		for i := range detecting {
-			detecting[i] = 0
+	cov := Coverage{Test: t}
+	detecting := make([]int, len(t.Ops()))
+	for _, inst := range instances {
+		if err := budget.CtxErr(ctx); err != nil {
+			return Coverage{}, err
 		}
+		r := InstanceResult{Instance: inst, Detected: true}
+		clear(detecting)
 		for _, tr := range traces {
 			if !fsm.Detects(inst.Machine, tr.trace) {
 				r.Detected = false
@@ -205,28 +204,7 @@ func evaluateScalar(ctx context.Context, t *march.Test, instances []fault.Instan
 			}
 		}
 		sort.Ints(r.DetectingOps)
-		return r
-	}
-	cov := Coverage{Test: t}
-	if workers = pool.Size(workers); workers > 1 && len(instances) >= parallelThreshold {
-		results, err := pool.MapCtx(ctx, workers, len(instances), func(i int) (InstanceResult, error) {
-			if err := budget.CtxErr(ctx); err != nil {
-				return InstanceResult{}, err
-			}
-			return one(instances[i], make([]int, numOps)), nil
-		})
-		if err != nil {
-			return Coverage{}, err
-		}
-		cov.Results = results
-		return cov, nil
-	}
-	detecting := make([]int, numOps)
-	for _, inst := range instances {
-		if err := budget.CtxErr(ctx); err != nil {
-			return Coverage{}, err
-		}
-		cov.Results = append(cov.Results, one(inst, detecting))
+		cov.Results = append(cov.Results, r)
 	}
 	return cov, nil
 }
@@ -255,7 +233,7 @@ func Runs(t *march.Test, inst fault.Instance) ([]Run, error) {
 // RunsEngine is Runs with an explicit engine choice (the scalar engine is
 // the differential tests' oracle).
 func RunsEngine(t *march.Test, inst fault.Instance, engine Engine) ([]Run, error) {
-	batch, err := RunsBatch(context.Background(), t, []fault.Instance{inst}, 1, engine)
+	batch, err := RunsBatch(context.Background(), t, []fault.Instance{inst}, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -263,13 +241,13 @@ func RunsEngine(t *march.Test, inst fault.Instance, engine Engine) ([]Run, error
 }
 
 // RunsBatch computes Runs for every instance of a fault list at once,
-// returning the per-instance run lists in instance order. On the kernel
-// engine the whole batch shares the lowered traces and the compiled
-// blocks, so the marginal cost per instance is a few bit operations per
-// trace position; the scalar engine fans the instances out over the
-// worker pool. Results are byte-identical across engines and worker
-// counts.
-func RunsBatch(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, engine Engine) ([][]Run, error) {
+// returning the per-instance run lists in instance order, on the
+// caller's goroutine. On the kernel engine the whole batch shares the
+// lowered traces and the compiled blocks, so the marginal cost per
+// instance is a few bit operations per trace position. Results are
+// byte-identical across engines; a kernel batch whose blocks fail to
+// compile returns that error.
+func RunsBatch(ctx context.Context, t *march.Test, instances []fault.Instance, engine Engine) ([][]Run, error) {
 	resolutions, err := Resolutions(t)
 	if err != nil {
 		return nil, err
@@ -277,31 +255,29 @@ func RunsBatch(ctx context.Context, t *march.Test, instances []fault.Instance, w
 	if len(instances) == 0 {
 		return nil, nil
 	}
-	run := obs.From(ctx)
-	if engine == Kernel {
-		blocks, hits, compiles, berr := simd.CompiledBlocks(instances)
-		if berr != nil {
-			if run != nil {
-				run.Counter(obs.CounterScalarFallbacks).Inc()
+	if engine == Scalar {
+		out := make([][]Run, len(instances))
+		for i, inst := range instances {
+			if err := budget.CtxErr(ctx); err != nil {
+				return nil, err
 			}
-		} else {
-			traces := kernelTraces(t, resolutions)
-			observeKernel(run, blocks, hits, compiles, len(traces), len(instances))
-			return runsKernel(ctx, t, instances, workers, resolutions, traces, blocks)
+			out[i] = runsScalar(t, inst, resolutions)
 		}
+		return out, nil
 	}
-	return pool.MapCtx(ctx, pool.Size(workers), len(instances), func(i int) ([]Run, error) {
-		if err := budget.CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		return runsScalar(t, instances[i], resolutions)
-	})
+	blocks, hits, compiles, err := simd.CompiledBlocks(instances)
+	if err != nil {
+		return nil, fmt.Errorf("sim: kernel blocks: %w", err)
+	}
+	traces := kernelTraces(t, resolutions)
+	observeKernel(obs.From(ctx), blocks, hits, compiles, len(traces), len(instances))
+	return runsKernel(ctx, t, resolutions, traces, blocks)
 }
 
 // runsScalar is the reference implementation of Runs: one closure-dispatch
 // machine walk per (initial content, ⇕ resolution), with a reusable
 // seen-ops scratch row replacing the old per-run map.
-func runsScalar(t *march.Test, inst fault.Instance, resolutions [][]march.Order) ([]Run, error) {
+func runsScalar(t *march.Test, inst fault.Instance, resolutions [][]march.Order) []Run {
 	numOps := len(t.Ops())
 	seen := make([]bool, numOps)
 	var out []Run
@@ -309,9 +285,7 @@ func runsScalar(t *march.Test, inst fault.Instance, resolutions [][]march.Order)
 		trace, positions := Trace(t, res)
 		for _, init := range fsm.ConcreteStates() {
 			run := Run{Init: init, Resolution: res}
-			for i := range seen {
-				seen[i] = false
-			}
+			clear(seen)
 			for _, k := range fsm.MismatchingReads(inst.Machine, trace, init) {
 				if op := positions[k]; op >= 0 && !seen[op] {
 					seen[op] = true
@@ -322,7 +296,7 @@ func runsScalar(t *march.Test, inst fault.Instance, resolutions [][]march.Order)
 			out = append(out, run)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // EvaluateN runs the n-cell engine on a memory of the given size: each

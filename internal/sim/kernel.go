@@ -9,7 +9,6 @@ import (
 	"marchgen/fsm"
 	"marchgen/internal/budget"
 	"marchgen/internal/obs"
-	"marchgen/internal/pool"
 	"marchgen/internal/simd"
 	"marchgen/march"
 )
@@ -63,8 +62,8 @@ func observeKernel(run *obs.Run, blocks []*simd.Block, hits, compiles, traces, i
 	run.Counter(obs.CounterKernelLanes).Add(int64(instances * simd.LanesPerInstance * traces))
 }
 
-// maxTraceLen returns the longest lowered trace, sizing the per-worker
-// mismatch scratch buffer.
+// maxTraceLen returns the longest lowered trace, sizing the mismatch
+// scratch buffer.
 func maxTraceLen(traces []kernelTrace) int {
 	n := 0
 	for _, tr := range traces {
@@ -82,27 +81,24 @@ func maxTraceLen(traces []kernelTrace) int {
 // the guaranteed-detection verdict and the detecting-operation counters
 // fall out with nibble reductions. Results are assembled in instance
 // order and replicate the scalar engine bit for bit.
-func evaluateKernel(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, traces []kernelTrace, blocks []*simd.Block) (Coverage, error) {
+func evaluateKernel(ctx context.Context, t *march.Test, instances []fault.Instance, traces []kernelTrace, blocks []*simd.Block) (Coverage, error) {
 	numOps := len(t.Ops())
-	scratch := maxTraceLen(traces)
-	oneBlock := func(bi int) ([]InstanceResult, error) {
+	mism := make([]uint64, maxTraceLen(traces))
+	// counts[i·numOps+op] is the number of (resolution, trace position)
+	// pairs at which instance i's mismatch is guaranteed for every
+	// initial content — the scalar engine's detecting map as a flat
+	// counter row, reused block to block.
+	counts := make([]int, min(len(instances), simd.BlockInstances)*numOps)
+	cov := Coverage{Test: t, Results: make([]InstanceResult, len(instances))}
+	for bi, b := range blocks {
 		if err := budget.CtxErr(ctx); err != nil {
-			return nil, err
+			return Coverage{}, err
 		}
-		b := blocks[bi]
-		lo := bi * simd.BlockInstances
-		insts := instances[lo : lo+b.Instances()]
-		n := b.Instances()
-		detected := make([]bool, n)
-		for i := range detected {
-			detected[i] = true
-		}
-		// counts[i·numOps+op] is the number of (resolution, trace
-		// position) pairs at which instance i's mismatch is guaranteed
-		// for every initial content — the scalar engine's detecting map
-		// as a flat, reusable counter row.
-		counts := make([]int, n*numOps)
-		mism := make([]uint64, scratch)
+		lo, n := bi*simd.BlockInstances, b.Instances()
+		clear(counts)
+		// detected keeps the low bit of instance i's nibble while every
+		// trace so far has a guaranteed mismatch for it.
+		detected := ^uint64(0)
 		for _, tr := range traces {
 			mm := mism[:len(tr.inputs)]
 			b.RunTrace(tr.inputs, tr.expect, mm)
@@ -110,12 +106,7 @@ func evaluateKernel(ctx context.Context, t *march.Test, instances []fault.Instan
 			for _, w := range mm {
 				anyMismatch |= w
 			}
-			full := simd.NibbleAll(anyMismatch)
-			for i := 0; i < n; i++ {
-				if full&(1<<uint(simd.LanesPerInstance*i)) == 0 {
-					detected[i] = false
-				}
-			}
+			detected &= simd.NibbleAll(anyMismatch)
 			for k, w := range mm {
 				f := simd.NibbleAll(w)
 				if f == 0 {
@@ -132,35 +123,18 @@ func evaluateKernel(ctx context.Context, t *march.Test, instances []fault.Instan
 				}
 			}
 		}
-		out := make([]InstanceResult, n)
-		for i := range out {
-			r := InstanceResult{Instance: insts[i], Detected: detected[i]}
+		for i := 0; i < n; i++ {
+			r := InstanceResult{
+				Instance: instances[lo+i],
+				Detected: detected&(1<<uint(simd.LanesPerInstance*i)) != 0,
+			}
 			for op, cnt := range counts[i*numOps : (i+1)*numOps] {
 				if cnt == len(traces) {
 					r.DetectingOps = append(r.DetectingOps, op)
 				}
 			}
-			out[i] = r
+			cov.Results[lo+i] = r
 		}
-		return out, nil
-	}
-	cov := Coverage{Test: t}
-	if workers = pool.Size(workers); workers > 1 && len(blocks) > 1 {
-		perBlock, err := pool.MapCtx(ctx, workers, len(blocks), oneBlock)
-		if err != nil {
-			return Coverage{}, err
-		}
-		for _, rs := range perBlock {
-			cov.Results = append(cov.Results, rs...)
-		}
-		return cov, nil
-	}
-	for bi := range blocks {
-		rs, err := oneBlock(bi)
-		if err != nil {
-			return Coverage{}, err
-		}
-		cov.Results = append(cov.Results, rs...)
 	}
 	return cov, nil
 }
@@ -168,17 +142,17 @@ func evaluateKernel(ctx context.Context, t *march.Test, instances []fault.Instan
 // runsKernel is the bit-parallel implementation behind RunsBatch: the
 // per-run mismatch attribution of every (instance, initial content,
 // ⇕ resolution) triple, computed one block-trace pass at a time.
-func runsKernel(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, resolutions [][]march.Order, traces []kernelTrace, blocks []*simd.Block) ([][]Run, error) {
+func runsKernel(ctx context.Context, t *march.Test, resolutions [][]march.Order, traces []kernelTrace, blocks []*simd.Block) ([][]Run, error) {
 	numOps := len(t.Ops())
-	scratch := maxTraceLen(traces)
-	oneBlock := func(bi int) ([][]Run, error) {
+	mism := make([]uint64, maxTraceLen(traces))
+	laneOps := make([][]int, simd.LanesPerInstance*simd.BlockInstances)
+	inits := fsm.ConcreteStates()
+	var results [][]Run
+	for _, b := range blocks {
 		if err := budget.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		b := blocks[bi]
 		n := b.Instances()
-		mism := make([]uint64, scratch)
-		laneOps := make([][]int, simd.LanesPerInstance*n)
 		out := make([][]Run, n)
 		for i := range out {
 			out[i] = make([]Run, 0, len(traces)*simd.LanesPerInstance)
@@ -203,7 +177,6 @@ func runsKernel(ctx context.Context, t *march.Test, instances []fault.Instance, 
 					laneOps[l] = append(laneOps[l], op)
 				}
 			}
-			inits := fsm.ConcreteStates()
 			for i := 0; i < n; i++ {
 				for v := 0; v < simd.LanesPerInstance; v++ {
 					run := Run{Init: inits[v], Resolution: resolutions[ri]}
@@ -214,25 +187,7 @@ func runsKernel(ctx context.Context, t *march.Test, instances []fault.Instance, 
 				}
 			}
 		}
-		return out, nil
-	}
-	var results [][]Run
-	if workers = pool.Size(workers); workers > 1 && len(blocks) > 1 {
-		perBlock, err := pool.MapCtx(ctx, workers, len(blocks), oneBlock)
-		if err != nil {
-			return nil, err
-		}
-		for _, rs := range perBlock {
-			results = append(results, rs...)
-		}
-		return results, nil
-	}
-	for bi := range blocks {
-		rs, err := oneBlock(bi)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, rs...)
+		results = append(results, out...)
 	}
 	return results, nil
 }

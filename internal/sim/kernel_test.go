@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"marchgen/fault"
+	"marchgen/internal/obs"
 	"marchgen/march"
 )
 
@@ -37,7 +38,7 @@ func fullLibrary(t *testing.T) []fault.Instance {
 // test: for every known March test and the entire fault library, the
 // bit-parallel kernel must return exactly the scalar oracle's
 // InstanceResult set — same instances, same Detected verdicts, same
-// DetectingOps — at several worker counts.
+// DetectingOps.
 func TestKernelMatchesScalarFullLibrary(t *testing.T) {
 	instances := fullLibrary(t)
 	ctx := context.Background()
@@ -47,22 +48,19 @@ func TestKernelMatchesScalarFullLibrary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", name, err)
 		}
-		for _, workers := range []int{1, 4} {
-			got, err := EvaluateEngine(ctx, mt, instances, workers, Kernel)
-			if err != nil {
-				t.Fatalf("%s: kernel (workers=%d): %v", name, workers, err)
-			}
-			if len(got.Results) != len(want.Results) {
-				t.Fatalf("%s: kernel (workers=%d): %d results, scalar %d",
-					name, workers, len(got.Results), len(want.Results))
-			}
-			for k := range want.Results {
-				if !sameResult(got.Results[k], want.Results[k]) {
-					t.Errorf("%s (workers=%d): instance %s: kernel detected=%v ops=%v, scalar detected=%v ops=%v",
-						name, workers, want.Results[k].Instance.Name,
-						got.Results[k].Detected, got.Results[k].DetectingOps,
-						want.Results[k].Detected, want.Results[k].DetectingOps)
-				}
+		got, err := EvaluateEngine(ctx, mt, instances, 1, Kernel)
+		if err != nil {
+			t.Fatalf("%s: kernel: %v", name, err)
+		}
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("%s: kernel: %d results, scalar %d", name, len(got.Results), len(want.Results))
+		}
+		for k := range want.Results {
+			if !sameResult(got.Results[k], want.Results[k]) {
+				t.Errorf("%s: instance %s: kernel detected=%v ops=%v, scalar detected=%v ops=%v",
+					name, want.Results[k].Instance.Name,
+					got.Results[k].Detected, got.Results[k].DetectingOps,
+					want.Results[k].Detected, want.Results[k].DetectingOps)
 			}
 		}
 	}
@@ -71,33 +69,86 @@ func TestKernelMatchesScalarFullLibrary(t *testing.T) {
 // TestKernelRunsMatchScalarFullLibrary checks the finer-grained per-run
 // mismatch attribution (the Coverage Matrix columns) across the whole
 // library: RunsBatch on the kernel must equal the scalar oracle run for
-// run — same inits, same resolutions, same MismatchOps — at several
-// worker counts. MarchG exercises Del elements, MATS multiple free ⇕
-// resolutions.
+// run — same inits, same resolutions, same MismatchOps. MarchG exercises
+// Del elements, MATS multiple free ⇕ resolutions.
 func TestKernelRunsMatchScalarFullLibrary(t *testing.T) {
 	instances := fullLibrary(t)
 	ctx := context.Background()
 	for _, name := range []string{"MATS", "MATS+", "MarchC-", "MarchG"} {
 		mt := mustKnown(t, name)
-		want, err := RunsBatch(ctx, mt, instances, 1, Scalar)
+		want, err := RunsBatch(ctx, mt, instances, Scalar)
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", name, err)
 		}
-		for _, workers := range []int{1, 4} {
-			got, err := RunsBatch(ctx, mt, instances, workers, Kernel)
-			if err != nil {
-				t.Fatalf("%s: kernel (workers=%d): %v", name, workers, err)
+		got, err := RunsBatch(ctx, mt, instances, Kernel)
+		if err != nil {
+			t.Fatalf("%s: kernel: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: kernel: %d instances, scalar %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s: instance %s: kernel runs differ from scalar\nkernel: %+v\nscalar: %+v",
+					name, instances[i].Name, got[i], want[i])
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: kernel (workers=%d): %d instances, scalar %d",
-					name, workers, len(got), len(want))
+		}
+	}
+}
+
+// TestEvaluateOnCallerGoroutine pins that a two-cell evaluation never
+// fans out. On the 24 instances of SAF,TF,ADF,CFin,CFid (two kernel
+// blocks), EvaluateWorkers (kernel) and EvaluateEngine (scalar) at
+// workers 4 and RunsBatch on either engine record no pool fan-out, and
+// their results equal the workers-1 evaluation and the scalar runs.
+func TestEvaluateOnCallerGoroutine(t *testing.T) {
+	models, err := fault.ParseList("SAF,TF,ADF,CFin,CFid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := fault.Instances(models)
+	if len(instances) != 24 {
+		t.Fatalf("%d instances, want 24 (two kernel blocks)", len(instances))
+	}
+	mt := mustKnown(t, "MarchC-")
+	scalarRuns, err := RunsBatch(context.Background(), mt, instances, Scalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluate := func(ctx context.Context, engine Engine, workers int) (Coverage, error) {
+		if engine == Kernel {
+			return EvaluateWorkers(ctx, mt, instances, workers)
+		}
+		return EvaluateEngine(ctx, mt, instances, workers, engine)
+	}
+	for _, engine := range []Engine{Kernel, Scalar} {
+		run := obs.NewRun()
+		ctx := obs.Into(context.Background(), run)
+		want, err := evaluate(ctx, engine, 1)
+		if err != nil {
+			t.Fatalf("engine %d: workers 1: %v", engine, err)
+		}
+		got, err := evaluate(ctx, engine, 4)
+		if err != nil {
+			t.Fatalf("engine %d: workers 4: %v", engine, err)
+		}
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("engine %d: %d results at workers 4, %d at workers 1", engine, len(got.Results), len(want.Results))
+		}
+		for k := range want.Results {
+			if !sameResult(got.Results[k], want.Results[k]) {
+				t.Errorf("engine %d: instance %s differs between workers 4 and 1", engine, want.Results[k].Instance.Name)
 			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s (workers=%d): instance %s: kernel runs differ from scalar\nkernel: %+v\nscalar: %+v",
-						name, workers, instances[i].Name, got[i], want[i])
-				}
-			}
+		}
+		runs, err := RunsBatch(ctx, mt, instances, engine)
+		if err != nil {
+			t.Fatalf("engine %d: RunsBatch: %v", engine, err)
+		}
+		if !reflect.DeepEqual(runs, scalarRuns) {
+			t.Errorf("engine %d: RunsBatch differs from the scalar runs", engine)
+		}
+		if n := run.Snapshot()["pool.fanouts"]; n != 0 {
+			t.Errorf("engine %d: %d pool fan-outs, want 0", engine, n)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func NewMemory(n int, flt *PlacedFault) (*Memory, error) {
 	}
 	m := &Memory{cells: cells, flt: flt}
 	if flt != nil {
-		m.lut = simd.CompileInstance(flt.Instance)
+		m.lut = simd.Compile(flt.Instance.Machine)
 		m.pair = uint8(simd.StateIndex(fsm.S(cells[flt.A], cells[flt.B])))
 	}
 	return m, nil

@@ -155,23 +155,6 @@ func blockKey(chunk []fault.Instance) string {
 	return memo.NewFingerprinter("simd/block").Str(fault.Key(chunk)).Key()
 }
 
-// lutCache memoises single-instance LUT compilations, shared by the
-// n-cell engine's Memory (which compiles its placed fault) and by block
-// assembly. Keys are content-addressed like the block cache's.
-var lutCache = memo.New(2048)
-
-// CompileInstance compiles one fault instance's machine into its dense
-// LUTs, reusing the process-wide LUT cache.
-func CompileInstance(inst fault.Instance) *Compiled {
-	key := memo.NewFingerprinter("simd/lut").Str(fault.Key([]fault.Instance{inst})).Key()
-	if v, ok := lutCache.Get(key); ok {
-		return v.(*Compiled)
-	}
-	c := Compile(inst.Machine)
-	lutCache.Put(key, c)
-	return c
-}
-
 // CompiledBlocks partitions a fault-instance list into blocks of
 // BlockInstances (in order — block b holds instances 16b..16b+15) and
 // compiles each one, reusing the process-wide block cache. It returns
@@ -190,9 +173,11 @@ func CompiledBlocks(instances []fault.Instance) (blocks []*Block, hits, compiles
 			hits++
 			continue
 		}
+		// Single-instance LUTs are not cached: a compile fills 63 table
+		// cells, which costs about as much as a content-addressed lookup.
 		machines := make([]*Compiled, len(chunk))
 		for k := range chunk {
-			machines[k] = CompileInstance(chunk[k])
+			machines[k] = Compile(chunk[k].Machine)
 		}
 		b, err := NewBlock(machines)
 		if err != nil {

@@ -46,8 +46,10 @@
 // generation engine evaluates hundreds of candidate tests against the
 // same fault list, so compiled blocks are memoised process-wide in an
 // internal/memo cache under the "simd/block" fingerprint namespace (the
-// canonical fault.Key of the block's instances). Compiled LUTs are pure
-// functions of the instance list — caching them can never change a
-// result, only its latency, which is why this cache is consulted even by
-// budgeted runs that bypass the result-level caches.
+// canonical fault.Key of the block's instances). A block is a pure
+// function of its instance list — caching it can never change a result,
+// only its latency, which is why this cache is consulted even by
+// budgeted runs that bypass the result-level caches. Single-instance
+// LUTs are compiled afresh each time: one costs about as much as a cache
+// lookup would.
 package simd

@@ -2,6 +2,7 @@ package simd
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"marchgen/fault"
@@ -156,6 +157,48 @@ func TestInitPlanes(t *testing.T) {
 		for v, init := range fsm.ConcreteStates() {
 			if planes[StateIndex(init)]&(1<<uint(v)) == 0 {
 				t.Errorf("block %d: lane %d does not start in %s", bi, v, init)
+			}
+		}
+	}
+}
+
+// TestCompiledBlocksChunking pins the partition CompiledBlocks makes:
+// for every library prefix of 1 to 40 instances it returns ⌈n/16⌉
+// blocks and no error, and block b is the block of instances 16b
+// onward. Every chunk it hands NewBlock thus holds 1 to 16 machines,
+// the only sizes NewBlock accepts.
+func TestCompiledBlocksChunking(t *testing.T) {
+	var library []fault.Instance
+	for _, name := range fault.ModelNames() {
+		m, err := fault.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		library = append(library, m.Instances...)
+	}
+	if len(library) < 40 {
+		t.Fatalf("library has %d instances, want at least 40", len(library))
+	}
+	for n := 1; n <= 40; n++ {
+		blocks, _, _, err := CompiledBlocks(library[:n])
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if want := (n + BlockInstances - 1) / BlockInstances; len(blocks) != want {
+			t.Fatalf("n=%d: %d blocks, want %d", n, len(blocks), want)
+		}
+		for b, blk := range blocks {
+			chunk := library[BlockInstances*b : min(BlockInstances*(b+1), n)]
+			machines := make([]*Compiled, len(chunk))
+			for k, inst := range chunk {
+				machines[k] = Compile(inst.Machine)
+			}
+			want, err := NewBlock(machines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(blk, want) {
+				t.Errorf("n=%d: block %d is not the block of instances %d..%d", n, b, BlockInstances*b, BlockInstances*b+len(chunk)-1)
 			}
 		}
 	}

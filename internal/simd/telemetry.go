@@ -2,8 +2,8 @@ package simd
 
 import "sync/atomic"
 
-// Process-wide kernel telemetry. The block and LUT caches are already
-// process-wide (an entry compiled by any run serves every run), so the
+// Process-wide kernel telemetry. The block cache is already
+// process-wide (a block compiled by any run serves every run), so the
 // matching throughput counters live at the same scope: one atomic add
 // per RunTrace call — never per word — keeps them off the hot loop.
 // The serving layer exposes them on /metrics so replica capacity

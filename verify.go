@@ -102,11 +102,12 @@ func VerifyModelsCtx(ctx context.Context, t *march.Test, models []fault.Model) (
 }
 
 // VerifyModelsWorkersCtx is VerifyModelsCtx on the parallel engine: the
-// per-fault simulation and the coverage-matrix construction fan out over a
-// bounded worker pool (workers <= 0: GOMAXPROCS), and with workers > 1 the
-// coverage matrix is memoised in the process-wide cache across calls. The
-// report is byte-identical to the sequential verification at any worker
-// count, warm or cold.
+// redundancy audit's trial removals fan out over a bounded worker pool
+// (workers <= 0: GOMAXPROCS), and with workers != 1 the coverage matrix
+// is memoised in the process-wide cache across calls. The coverage
+// simulation and the matrix build each run on the calling goroutine.
+// The report is byte-identical to the sequential verification at any
+// worker count, warm or cold.
 func VerifyModelsWorkersCtx(ctx context.Context, t *march.Test, models []fault.Model, workers int) (*CoverageReport, error) {
 	if t == nil {
 		return nil, fmt.Errorf("marchgen: nil test")
@@ -119,7 +120,7 @@ func VerifyModelsWorkersCtx(ctx context.Context, t *march.Test, models []fault.M
 	sp := run.Start("verify").SetInt("instances", int64(len(instances)))
 	defer run.WithPhase(sp)()
 	defer sp.End()
-	cov, err := sim.EvaluateWorkers(ctx, t, instances, workers)
+	cov, err := sim.EvaluateCtx(ctx, t, instances)
 	if err != nil {
 		return nil, err
 	}
