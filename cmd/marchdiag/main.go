@@ -38,7 +38,6 @@ func run() int {
 	classes := flag.Bool("classes", false, "print the ambiguity classes")
 	timeout := flag.Duration("timeout", 0, "hard deadline; past it the run aborts (0: none)")
 	budgetSpec := flag.String("budget", "", "soft budget, e.g. soft=2s: past the soft deadline the dictionary is truncated instead of aborted")
-	workers := flag.Int("workers", 0, "worker pool size for the per-instance simulation (0: GOMAXPROCS); the dictionary is identical at any count")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -64,11 +63,6 @@ func run() int {
 		}
 		soft = b.Deadline
 	}
-	w, err := budget.ParseWorkers(*workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marchdiag:", err)
-		return budget.ExitCode(err)
-	}
 
 	var test *march.Test
 	if *testStr != "" {
@@ -92,7 +86,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "marchdiag:", err)
 		return budget.ExitCode(err)
 	}
-	dict, truncated, err := diag.BuildWorkersCtx(ctx, test, models, soft, w)
+	dict, truncated, err := diag.BuildCtx(ctx, test, models, soft)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marchdiag:", err)
 		return budget.ExitCode(err)

@@ -46,7 +46,7 @@ func run() int {
 	verify := flag.Bool("verify", true, "print the coverage/non-redundancy verdict")
 	timeout := flag.Duration("timeout", 0, "hard deadline; past it the run aborts (0: none)")
 	budgetSpec := flag.String("budget", "", "soft resource budget, e.g. nodes=100000,selections=16,candidates=200,soft=2s (exhaustion degrades instead of failing)")
-	workers := flag.Int("workers", 0, "worker pool size: selection-sweep producers and the redundancy audit's trial removals (0: GOMAXPROCS); the result is identical at any count")
+	workers := flag.Int("workers", 0, "worker pool size of the selection sweep, the only parallelism (0: GOMAXPROCS); the result is identical at any count")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -123,7 +123,7 @@ func run() int {
 			strings.Join(res.Stats.DegradedStages, ", "))
 	}
 	if *verify {
-		rep, err := marchgen.VerifyWorkersCtx(ctx, res.Test, *faults, w)
+		rep, err := marchgen.VerifyCtx(ctx, res.Test, *faults)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "marchgen: verify:", err)
 			return budget.ExitCode(err)

@@ -70,7 +70,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "default per-request hard deadline (0: 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested timeouts (0: 2m)")
 	budgetSpec := flag.String("budget", "", "default soft budget for generate requests, e.g. nodes=100000,soft=2s")
-	workers := flag.Int("workers", 0, "default engine worker-pool size: selection-sweep producers, verify's redundancy-audit trials and n-cell placements (0: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "default worker-pool size of a generation's selection sweep, the only parallelism (0: GOMAXPROCS); verify and simulate run on one goroutine")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
 	peers := flag.String("peers", "", "comma-separated replica addresses forming a replica set with this server (must include -addr)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")

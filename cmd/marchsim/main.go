@@ -38,7 +38,6 @@ func run() int {
 	perInstance := flag.Bool("per-instance", false, "print one line per fault instance")
 	timeout := flag.Duration("timeout", 0, "hard deadline; past it the run aborts (0: none)")
 	budgetSpec := flag.String("budget", "", "soft budget, e.g. soft=2s: past the soft deadline the optional n-cell re-validation is skipped")
-	workers := flag.Int("workers", 0, "worker pool size for the redundancy audit's trial removals and the n-cell check's placements (0: GOMAXPROCS); the report is identical at any count")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -72,11 +71,6 @@ func run() int {
 		}
 		soft = b.Deadline
 	}
-	w, err := budget.ParseWorkers(*workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marchsim:", err)
-		return budget.ExitCode(err)
-	}
 
 	var test *march.Test
 	switch {
@@ -100,7 +94,7 @@ func run() int {
 		return budget.ExitUsage
 	}
 
-	rep, err := marchgen.VerifyWorkersCtx(ctx, test, *faults, w)
+	rep, err := marchgen.VerifyCtx(ctx, test, *faults)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marchsim:", err)
 		return budget.ExitCode(err)
@@ -135,7 +129,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "marchsim: soft budget spent — skipping the %d-cell re-validation\n", *cells)
 			degraded = true
 		} else {
-			nrep, err := marchgen.VerifyNWorkersCtx(ctx, test, *faults, *cells, w)
+			nrep, err := marchgen.VerifyNCtx(ctx, test, *faults, *cells)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "marchsim:", err)
 				return budget.ExitCode(err)

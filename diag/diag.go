@@ -26,8 +26,8 @@ import (
 	"marchgen/fault"
 	"marchgen/internal/budget"
 	"marchgen/internal/obs"
-	"marchgen/internal/pool"
 	"marchgen/internal/sim"
+	"marchgen/internal/simd"
 	"marchgen/march"
 )
 
@@ -75,23 +75,17 @@ func Build(t *march.Test, models []fault.Model) (*Dictionary, error) {
 	return d, err
 }
 
-// BuildCtx is Build with cancellation and an optional soft deadline.
-// Cancelling ctx aborts the per-instance simulation with a typed error
-// (budget.ErrCanceled / budget.ErrDeadlineExceeded). Once a non-zero soft
-// deadline passes, instances not yet simulated are omitted and
-// truncated=true is returned: the partial dictionary still diagnoses the
-// instances it covers, it just cannot rule out the omitted ones.
+// BuildCtx is Build with cancellation and an optional soft deadline,
+// on the caller's goroutine. Instances are simulated in chunks of
+// simd.BlockInstances, one sim.RunsBatch kernel block each, and ctx and
+// the soft deadline are checked before every chunk. Cancelling ctx
+// aborts the build with a typed error (budget.ErrCanceled /
+// budget.ErrDeadlineExceeded). Once a non-zero soft deadline passes, the
+// instances not yet simulated (a suffix of the list, cut at a chunk
+// boundary) are omitted and truncated=true is returned: the partial
+// dictionary still diagnoses the instances it covers, it just cannot
+// rule out the omitted ones.
 func BuildCtx(ctx context.Context, t *march.Test, models []fault.Model, soft time.Time) (*Dictionary, bool, error) {
-	return BuildWorkersCtx(ctx, t, models, soft, 1)
-}
-
-// BuildWorkersCtx is BuildCtx with the per-instance simulation fanned out
-// over a bounded worker pool (workers <= 0: GOMAXPROCS). Instances are
-// processed in batches so the soft deadline is still honoured between
-// batches, and a truncated dictionary still omits exactly a suffix of the
-// instance list; syndromes are recorded in instance order, so the full
-// dictionary is byte-identical at any worker count.
-func BuildWorkersCtx(ctx context.Context, t *march.Test, models []fault.Model, soft time.Time, workers int) (*Dictionary, bool, error) {
 	if err := sim.SelfConsistent(t); err != nil {
 		return nil, false, err
 	}
@@ -118,12 +112,7 @@ func BuildWorkersCtx(ctx context.Context, t *march.Test, models []fault.Model, s
 		run.Counter("diag.instances").Add(int64(len(insts)))
 		run.Counter("diag.builds").Inc()
 	}()
-	workers = pool.Size(workers)
-	batch := 1
-	if workers > 1 {
-		batch = workers * 4
-	}
-	for lo := 0; lo < len(insts) && !truncated; lo += batch {
+	for lo := 0; lo < len(insts); lo += simd.BlockInstances {
 		if err := budget.CtxErr(ctx); err != nil {
 			return nil, false, err
 		}
@@ -131,19 +120,16 @@ func BuildWorkersCtx(ctx context.Context, t *march.Test, models []fault.Model, s
 			truncated = true
 			break
 		}
-		hi := min(lo+batch, len(insts))
-		perInst, err := pool.MapCtx(ctx, workers, hi-lo, func(i int) ([]sim.Run, error) {
-			return sim.Runs(t, insts[lo+i])
-		})
+		chunk := insts[lo:min(lo+simd.BlockInstances, len(insts))]
+		perInst, err := sim.RunsBatch(ctx, t, chunk, sim.Kernel)
 		if err != nil {
 			return nil, false, err
 		}
 		for k, runs := range perInst {
 			for _, run := range runs {
-				if !sameResolution(run.Resolution, d.resolution) {
-					continue
+				if sameResolution(run.Resolution, d.resolution) {
+					d.add(chunk[k].Name, Syndrome(run.MismatchOps))
 				}
-				d.add(insts[lo+k].Name, Syndrome(run.MismatchOps))
 			}
 		}
 	}

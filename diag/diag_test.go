@@ -1,10 +1,14 @@
 package diag
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"marchgen/fault"
+	"marchgen/internal/sim"
 	"marchgen/march"
 )
 
@@ -189,5 +193,59 @@ func TestPlanDiagnose(t *testing.T) {
 func TestPlanErrors(t *testing.T) {
 	if _, err := BuildPlan(models(t, "SAF"), nil); err == nil {
 		t.Error("empty pool must fail")
+	}
+}
+
+// TestBuildMatchesScalarRuns is the dictionary's differential check:
+// for every library test, the chunked kernel build equals a dictionary
+// filled from per-instance runs of the scalar reference engine. The
+// 24 instances of SAF,TF,ADF,CFin,CFid span two kernel chunks.
+func TestBuildMatchesScalarRuns(t *testing.T) {
+	for _, list := range []string{"SAF,TF,ADF,CFin,CFid", "SAF,TF,CFst"} {
+		ms := models(t, list)
+		for _, name := range march.KnownNames() {
+			mt := known(t, name)
+			got, truncated, err := BuildCtx(context.Background(), mt, ms, time.Time{})
+			if err != nil || truncated {
+				t.Fatalf("%s on %s: truncated=%v err=%v", name, list, truncated, err)
+			}
+			want := &Dictionary{
+				Test:       mt,
+				resolution: got.resolution,
+				byInstance: map[string][]Syndrome{},
+				bySyndrome: map[string][]string{},
+			}
+			want.add(GoodName, nil)
+			for _, inst := range fault.Instances(ms) {
+				runs, err := sim.RunsEngine(mt, inst, sim.Scalar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, run := range runs {
+					if sameResolution(run.Resolution, want.resolution) {
+						want.add(inst.Name, Syndrome(run.MismatchOps))
+					}
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: kernel dictionary\n%s\nscalar dictionary\n%s", name, list, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildSoftDeadlineTruncates: a soft deadline already past when the
+// build starts truncates the dictionary before the first chunk, leaving
+// only the fault-free entry.
+func TestBuildSoftDeadlineTruncates(t *testing.T) {
+	d, truncated, err := BuildCtx(context.Background(), known(t, "MarchC-"), models(t, "SAF,TF"), time.Now().Add(-time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !truncated {
+		t.Error("a past soft deadline must truncate the dictionary")
+	}
+	if got := d.Instances(); len(got) != 1 || got[0] != GoodName {
+		t.Errorf("truncated dictionary holds %v, want only %s", got, GoodName)
 	}
 }

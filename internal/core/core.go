@@ -778,7 +778,7 @@ func (g *genContext) shrink(t *march.Test) *march.Test {
 				continue
 			}
 			for o := 0; o < len(cur.Elements[e].Ops); o++ {
-				cand := dropOp(cur, e, o)
+				cand := cur.WithoutOp(e, o)
 				if cand != nil && g.complete(cand) {
 					cur, improved = cand, true
 					break scan
@@ -789,21 +789,6 @@ func (g *genContext) shrink(t *march.Test) *march.Test {
 			return cur
 		}
 	}
-}
-
-// dropOp removes one operation (dropping the element entirely when it was
-// the last one); returns nil when the result would be structurally empty.
-func dropOp(t *march.Test, e, o int) *march.Test {
-	c := t.Clone()
-	elem := &c.Elements[e]
-	elem.Ops = append(elem.Ops[:o], elem.Ops[o+1:]...)
-	if len(elem.Ops) == 0 {
-		c.Elements = append(c.Elements[:e], c.Elements[e+1:]...)
-	}
-	if len(c.Elements) == 0 {
-		return nil
-	}
-	return c
 }
 
 func dropDelay(t *march.Test, e int) *march.Test {

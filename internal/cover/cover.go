@@ -18,9 +18,9 @@ import (
 	"sort"
 
 	"marchgen/fault"
+	"marchgen/internal/budget"
 	"marchgen/internal/memo"
 	"marchgen/internal/obs"
-	"marchgen/internal/pool"
 	"marchgen/internal/sim"
 	"marchgen/internal/simd"
 	"marchgen/march"
@@ -282,15 +282,15 @@ type Report struct {
 
 // Analyze runs the full Section 6 check on a test against a fault list.
 func Analyze(t *march.Test, instances []fault.Instance) (*Report, error) {
-	return AnalyzeWorkers(context.Background(), t, instances, 1, nil)
+	return AnalyzeCtx(context.Background(), t, instances, nil)
 }
 
-// AnalyzeWorkers is Analyze on the parallel engine: the op-level
-// removability audit's trial removals fan out over a bounded worker pool
-// (see RemovableOpsWorkers), and a non-nil cache memoises the coverage
-// matrix across runs. The report is byte-identical to the sequential
-// analysis at any worker count.
-func AnalyzeWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, workers int, cache *memo.Cache) (*Report, error) {
+// AnalyzeCtx is Analyze under a context, on the caller's goroutine:
+// cancelling ctx aborts the matrix build or the op-level audit (see
+// RemovableOpsCtx) with a typed error, and a non-nil cache memoises the
+// coverage matrix across runs. The report is byte-identical warm or
+// cold.
+func AnalyzeCtx(ctx context.Context, t *march.Test, instances []fault.Instance, cache *memo.Cache) (*Report, error) {
 	m, err := BuildCtx(ctx, t, instances, cache)
 	if err != nil {
 		return nil, err
@@ -312,7 +312,7 @@ func AnalyzeWorkers(ctx context.Context, t *march.Test, instances []fault.Instan
 			rep.RedundantReads = append(rep.RedundantReads, m.Rows[r])
 		}
 	}
-	removable, err := RemovableOpsWorkers(ctx, t, instances, workers)
+	removable, err := RemovableOpsCtx(ctx, t, instances)
 	if err != nil {
 		return nil, err
 	}
@@ -321,56 +321,60 @@ func AnalyzeWorkers(ctx context.Context, t *march.Test, instances []fault.Instan
 	return rep, nil
 }
 
+// AnalyzeWorkers is AnalyzeCtx; the worker count is ignored. The audit
+// runs on its caller's goroutine: each trial removal is one evaluation
+// of a few kernel blocks, and no benchmark row showed the trials'
+// fan-out paying for itself. The parameter stays because callers
+// outside this module (the repository benchmark's layer replay) pass
+// it.
+func AnalyzeWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, _ int, cache *memo.Cache) (*Report, error) {
+	return AnalyzeCtx(ctx, t, instances, cache)
+}
+
 // RemovableOps returns the flattened indices of operations whose
 // individual removal keeps the test complete — the op-level redundancy
 // audit (stronger than the read-block set covering, since it also judges
 // writes).
 func RemovableOps(t *march.Test, instances []fault.Instance) ([]int, error) {
-	return RemovableOpsWorkers(context.Background(), t, instances, 1)
+	return RemovableOpsCtx(context.Background(), t, instances)
 }
 
-// RemovableOpsWorkers is RemovableOps with the per-op trial removals
-// evaluated on a bounded worker pool (each trial re-simulates the whole
-// fault list, making this the audit's hot loop). The removable set is
-// collected in flat-index order, identical at any worker count.
-func RemovableOpsWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, workers int) ([]int, error) {
-	cov, err := sim.Evaluate(t, instances)
+// RemovableOpsCtx is RemovableOps under a context: the base evaluation
+// and every trial removal (each re-simulates the whole fault list) run
+// on the caller's goroutine through sim.EvaluateCtx, and ctx is checked
+// after every trial. Cancelling ctx aborts the audit with a typed error
+// (budget.ErrCanceled or budget.ErrDeadlineExceeded). The evaluations
+// count in the metrics of the observability run attached to ctx, under
+// one verify/audit span rather than one span each (see obs.Quiet).
+func RemovableOpsCtx(ctx context.Context, t *march.Test, instances []fault.Instance) ([]int, error) {
+	sp := obs.From(ctx).StartUnder("verify/audit")
+	defer sp.End()
+	ctx = obs.Quiet(ctx)
+	cov, err := sim.EvaluateCtx(ctx, t, instances)
 	if err != nil {
 		return nil, err
 	}
 	if !cov.Complete() {
 		return nil, fmt.Errorf("cover: test %s misses %v", t, cov.Missed())
 	}
-	type trial struct{ e, o int }
-	var trials []trial
+	var removable []int
+	flat := 0
 	for e := range t.Elements {
 		for o := range t.Elements[e].Ops {
-			trials = append(trials, trial{e, o})
-		}
-	}
-	verdicts, err := pool.MapCtx(ctx, workers, len(trials), func(i int) (bool, error) {
-		e, o := trials[i].e, trials[i].o
-		cand := t.Clone()
-		elem := &cand.Elements[e]
-		elem.Ops = append(append([]march.Op(nil), elem.Ops[:o]...), elem.Ops[o+1:]...)
-		if len(elem.Ops) == 0 {
-			cand.Elements = append(cand.Elements[:e], cand.Elements[e+1:]...)
-		}
-		if len(cand.Elements) > 0 && cand.Validate() == nil {
-			if c2, err := sim.Evaluate(cand, instances); err == nil && c2.Complete() {
-				return true, nil
+			// A structurally invalid trial is not simulated; one that
+			// fails to evaluate (a read no longer expecting what the
+			// fault-free memory holds) is not removable.
+			if cand := t.WithoutOp(e, o); cand.Validate() == nil {
+				if c, err := sim.EvaluateCtx(ctx, cand, instances); err == nil && c.Complete() {
+					removable = append(removable, flat)
+				}
 			}
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var removable []int
-	for flat, ok := range verdicts {
-		if ok {
-			removable = append(removable, flat)
+			if err := budget.CtxErr(ctx); err != nil {
+				return nil, err
+			}
+			flat++
 		}
 	}
+	sp.SetInt("trials", int64(flat)).SetInt("removable", int64(len(removable)))
 	return removable, nil
 }

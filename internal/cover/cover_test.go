@@ -1,9 +1,14 @@
 package cover
 
 import (
+	"context"
+	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"marchgen/fault"
+	"marchgen/internal/budget"
 	"marchgen/march"
 )
 
@@ -132,5 +137,54 @@ func TestSOFConjunctiveColumns(t *testing.T) {
 	}
 	if len(rep.MinCover) < 2 {
 		t.Errorf("SOF needs at least two elementary blocks, min cover %v", rep.MinCover)
+	}
+}
+
+// countdownCtx reports cancellation from its (after+1)-th Err call on,
+// so a test can cancel at each point where the code consults ctx.
+type countdownCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRemovableOpsHonoursCancel: the op-level audit runs under its
+// caller's context. An already-cancelled context returns
+// budget.ErrCanceled, and so does a cancellation first seen at any later
+// point where the audit consults ctx, never a partial removable set.
+func TestRemovableOpsHonoursCancel(t *testing.T) {
+	mt, insts := known(t, "MarchC"), instances(t, "SAF,TF,ADF,CFin,CFid")
+	want, err := RemovableOps(mt, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("March C must have removable ops for the March C- fault list")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := RemovableOpsCtx(ctx, mt, insts); !errors.Is(err, budget.ErrCanceled) {
+		t.Fatalf("cancelled audit: %v, %v; want budget.ErrCanceled", got, err)
+	}
+	full := &countdownCtx{Context: context.Background(), after: math.MaxInt}
+	got, err := RemovableOpsCtx(full, mt, insts)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("uncancelled audit: %v, %v; want %v", got, err, want)
+	}
+	if trials := mt.Complexity(); full.calls <= trials {
+		t.Fatalf("ctx consulted %d times, want more than once per trial (%d)", full.calls, trials)
+	}
+	for k := 0; k < full.calls; k++ {
+		c := &countdownCtx{Context: context.Background(), after: k}
+		if got, err := RemovableOpsCtx(c, mt, insts); !errors.Is(err, budget.ErrCanceled) {
+			t.Fatalf("cancelled at ctx check %d of %d: %v, %v; want budget.ErrCanceled", k+1, full.calls, got, err)
+		}
 	}
 }

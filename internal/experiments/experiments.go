@@ -89,7 +89,7 @@ func Table3Ctx(ctx context.Context) ([]Table3Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", spec.Faults, err)
 		}
-		rep, err := cover.AnalyzeWorkers(ctx, res.Test, res.Instances, 1, nil)
+		rep, err := cover.AnalyzeCtx(ctx, res.Test, res.Instances, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", spec.Faults, err)
 		}

@@ -91,6 +91,27 @@ func From(ctx context.Context) *Run {
 	return r
 }
 
+type quietKey struct{}
+
+// Quiet returns ctx marked so that SpanUnder opens no span below it,
+// while the run's metrics and progress still count the work. A loop of
+// many short, uniform steps (the redundancy audit's trial evaluations)
+// runs under it behind one span of its own, because a long-lived run,
+// such as a server's, keeps every finished span in memory up to the
+// recorder's cap.
+func Quiet(ctx context.Context) context.Context {
+	return context.WithValue(ctx, quietKey{}, true)
+}
+
+// SpanUnder is From(ctx).StartUnder(name), except that under Quiet it
+// opens no span and returns nil, the no-op span.
+func SpanUnder(ctx context.Context, name string) *Span {
+	if ctx == nil || ctx.Value(quietKey{}) != nil {
+		return nil
+	}
+	return From(ctx).StartUnder(name)
+}
+
 // WithPhase marks s as the current pipeline phase — the span that
 // StartUnder parents to — and returns a restore func reinstating the
 // previous phase. Nil-safe on both the run and the span.

@@ -269,6 +269,32 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuietSpans: under Quiet, SpanUnder opens no span while the run's
+// metrics still count; outside it, SpanUnder is StartUnder.
+func TestQuietSpans(t *testing.T) {
+	r := NewRun()
+	ctx := Into(context.Background(), r)
+	SpanUnder(ctx, "loud").End()
+	quiet := Quiet(ctx)
+	if From(quiet) != r {
+		t.Fatal("Quiet detached the run")
+	}
+	if sp := SpanUnder(quiet, "quiet"); sp != nil {
+		t.Fatalf("SpanUnder under Quiet = %v, want nil", sp)
+	}
+	From(quiet).Counter("work").Inc()
+	evs := r.Events()
+	if len(evs) != 1 || evs[0].Name != "loud" {
+		t.Fatalf("events %v, want only the loud span", evs)
+	}
+	if n := r.Snapshot()["work"]; n != 1 {
+		t.Fatalf("work = %d under Quiet, want 1", n)
+	}
+	if SpanUnder(context.Background(), "unobserved") != nil {
+		t.Fatal("SpanUnder without a run must return nil")
+	}
+}
+
 func TestServeDebug(t *testing.T) {
 	r := NewRun()
 	r.Counter("x").Add(9)

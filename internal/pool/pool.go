@@ -1,11 +1,12 @@
-// Package pool provides the bounded worker pool behind the parallel
-// generation engine. Work is always expressed over an index space — fn(i)
-// for i in [0, n) — and results are collected (Map) or consumed (Stream)
-// by index, so the output of a parallel run is byte-identical to the
-// sequential one regardless of the worker count or goroutine scheduling.
-// Errors are reduced the same way: when several workers fail, the error of
-// the smallest index wins, which is exactly the error the sequential loop
-// would have returned first.
+// Package pool provides the bounded worker pool behind the §5 selection
+// sweep, the only parallelism in the module: Stream runs the sweep's
+// producers and Map its up-front TPG reductions. Work is always
+// expressed over an index space — fn(i) for i in [0, n) — and results
+// are collected (Map) or consumed (Stream) by index, so the output of a
+// parallel run is byte-identical to the sequential one regardless of the
+// worker count or goroutine scheduling. Errors are reduced the same way:
+// when several workers fail, the error of the smallest index wins, which
+// is exactly the error the sequential loop would have returned first.
 package pool
 
 import (
@@ -36,16 +37,67 @@ func Size(n int) int {
 // workers <= 1 or n <= 1 no goroutine is spawned and fn runs inline, so
 // the sequential engine is literally the workers=1 configuration.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return mapHooked(workers, n, fn, nil)
-}
+	out := make([]T, n)
+	if n == 0 {
+		return out, nil
+	}
+	workers = Size(workers)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			v, err := fn(i)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
 
-// MapCtx is Map with the fan-out recorded to the observability run
-// attached to ctx (see internal/obs): the fan-out count, task total,
-// peak outstanding-task depth and per-worker busy time land in the
-// run's metrics. Without a run on the context it is exactly Map — the
-// instrumentation costs nothing when observation is off.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return mapHooked(workers, n, fn, observe(ctx, n, n))
+	var (
+		next   atomic.Int64 // next index to claim
+		failed atomic.Bool  // latched on first failure: stop claiming
+		mu     sync.Mutex   // guards errIdx/errVal
+		errIdx = -1
+		errVal error
+		wg     sync.WaitGroup
+	)
+	record := func(i int, err error) {
+		failed.Store(true)
+		mu.Lock()
+		if errIdx < 0 || i < errIdx {
+			errIdx, errVal = i, err
+		}
+		mu.Unlock()
+	}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				if failed.Load() {
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				v, err := fn(i)
+				if err != nil {
+					record(i, err)
+					return
+				}
+				out[i] = v
+			}
+		}()
+	}
+	wg.Wait()
+	if errVal != nil {
+		return nil, errVal
+	}
+	return out, nil
 }
 
 // observe records one fan-out of n tasks, at most depth of them
@@ -65,7 +117,7 @@ func observe(ctx context.Context, n, depth int) func(worker int, busy time.Durat
 	}
 }
 
-// Stream is the streaming sibling of MapCtx: produce(w, i) runs for every
+// Stream is the streaming sibling of Map: produce(w, i) runs for every
 // i in [0, n) on at most workers goroutines, and consume(i, v) receives
 // each result on the calling goroutine in ascending index order as soon
 // as it and every earlier result are ready. w is the producer's index in
@@ -81,9 +133,10 @@ func observe(ctx context.Context, n, depth int) func(worker int, busy time.Durat
 // every producer goroutine has exited. A panic in produce is a failure
 // of its index too: it is re-raised on the calling goroutine as a
 // *PanicError, so a recover there catches it as it would a sequential
-// loop's. Like MapCtx, Stream takes ctx for observation only:
-// cancellation reaches the stream through the errors produce and consume
-// return. With workers <= 1 or n <= 1 no goroutine is spawned and
+// loop's. Stream takes ctx for observation only: the fan-out count, task
+// total, window depth and per-worker busy time land in the metrics of
+// the run attached to ctx (see internal/obs), and cancellation reaches
+// the stream through the errors produce and consume return. With workers <= 1 or n <= 1 no goroutine is spawned and
 // produce(0, i) and consume(i) alternate inline, so the sequential loop
 // is literally the workers=1 configuration. Per-worker busy time counts
 // produce calls only.
@@ -217,97 +270,4 @@ func produceOne[T any](produce func(w, i int) (T, error), w, i int) (r streamRes
 	}()
 	r.v, r.err = produce(w, i)
 	return r
-}
-
-// mapHooked is the shared implementation: done, when non-nil, receives
-// each worker's total busy time (fn execution, not queue idling) once
-// the worker exits. The inline path reports as worker 0.
-func mapHooked[T any](workers, n int, fn func(i int) (T, error), done func(worker int, busy time.Duration)) ([]T, error) {
-	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	workers = Size(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		var t0 time.Time
-		if done != nil {
-			t0 = time.Now()
-		}
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		if done != nil {
-			done(0, time.Since(t0))
-		}
-		return out, nil
-	}
-
-	var (
-		next   atomic.Int64 // next index to claim
-		failed atomic.Bool  // latched on first failure: stop claiming
-		mu     sync.Mutex   // guards errIdx/errVal
-		errIdx = -1
-		errVal error
-		wg     sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, errVal = i, err
-		}
-		mu.Unlock()
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			var busy time.Duration
-			if done != nil {
-				defer func() { done(w, busy) }()
-			}
-			for {
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				var t0 time.Time
-				if done != nil {
-					t0 = time.Now()
-				}
-				v, err := fn(i)
-				if done != nil {
-					busy += time.Since(t0)
-				}
-				if err != nil {
-					record(i, err)
-					return
-				}
-				out[i] = v
-			}
-		}(w)
-	}
-	wg.Wait()
-	if errVal != nil {
-		return nil, errVal
-	}
-	return out, nil
-}
-
-// Each is Map for work with no per-index result.
-func Each(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

@@ -87,23 +87,6 @@ func TestMapErrorStopsEarly(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(4, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 99*100/2 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-	boom := errors.New("boom")
-	if err := Each(4, 10, func(i int) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestMapConcurrent runs overlapping Map calls to give the race detector
 // something to chew on.
 func TestMapConcurrent(t *testing.T) {
@@ -326,8 +309,8 @@ func TestStreamNoLeakedProducers(t *testing.T) {
 	}
 }
 
-// TestStreamObserved checks the fan-out reports to the run on the context
-// like MapCtx: producer busy time lands in pool.worker.N.busy_ns.
+// TestStreamObserved checks the fan-out reports to the run on the
+// context: producer busy time lands in pool.worker.N.busy_ns.
 func TestStreamObserved(t *testing.T) {
 	run := obs.NewRun()
 	ctx := obs.Into(context.Background(), run)

@@ -267,11 +267,6 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request, ncell bo
 		writeError(w, r, http.StatusBadRequest, "usage", err.Error())
 		return
 	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-
 	// Verification runs under the request's own context (no coalescing):
 	// client cancellation aborts the simulation directly.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -288,9 +283,9 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request, ncell bo
 	start := time.Now()
 	var rep *marchgen.CoverageReport
 	if ncell {
-		rep, err = marchgen.VerifyNWorkersCtx(ctx, test, req.Faults, cells, workers)
+		rep, err = marchgen.VerifyNCtx(ctx, test, req.Faults, cells)
 	} else {
-		rep, err = marchgen.VerifyWorkersCtx(ctx, test, req.Faults, workers)
+		rep, err = marchgen.VerifyCtx(ctx, test, req.Faults)
 	}
 	if err != nil {
 		status, code := httpStatus(err)

@@ -415,15 +415,11 @@ func (s *Server) execJobCoverage(ctx context.Context, req *VerifyRequest, ncell 
 	}
 	ctx, cancel := s.jobTimeout(ctx, req.TimeoutMS)
 	defer cancel()
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
 	var rep *marchgen.CoverageReport
 	if ncell {
-		rep, err = marchgen.VerifyNWorkersCtx(ctx, test, req.Faults, req.Cells, workers)
+		rep, err = marchgen.VerifyNCtx(ctx, test, req.Faults, req.Cells)
 	} else {
-		rep, err = marchgen.VerifyWorkersCtx(ctx, test, req.Faults, workers)
+		rep, err = marchgen.VerifyCtx(ctx, test, req.Faults)
 	}
 	if err != nil {
 		return nil, err

@@ -99,8 +99,11 @@ type VerifyRequest struct {
 	// Cells selects the n-cell simulator size for /v1/simulate (default
 	// 8; /v1/verify ignores it and uses the two-cell engine).
 	Cells int `json:"cells,omitempty"`
-	// Workers and TimeoutMS behave as on GenerateRequest.
-	Workers   int `json:"workers,omitempty"`
+	// Workers is accepted, checked non-negative and ignored: verification
+	// runs on one goroutine. It stays on the wire because request bodies
+	// and persisted job records are decoded with unknown fields rejected.
+	Workers int `json:"workers,omitempty"`
+	// TimeoutMS behaves as on GenerateRequest.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 

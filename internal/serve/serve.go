@@ -72,9 +72,10 @@ type Config struct {
 	// applied to /v1/generate requests that do not carry their own
 	// "budget" field. Empty: unlimited.
 	DefaultBudget string
-	// Workers is the engine worker-pool size used when a request does not
-	// set its own (0: GOMAXPROCS). Results are byte-identical at any
-	// worker count, so this is purely a throughput/latency knob.
+	// Workers is the selection-sweep worker-pool size used when a
+	// generate request does not set its own (0: GOMAXPROCS). Results are
+	// byte-identical at any worker count, so this is purely a
+	// throughput/latency knob; verification ignores it.
 	Workers int
 	// RetryAfter is the hint returned in the Retry-After header of shed
 	// responses. Default: 1s.

@@ -10,7 +10,6 @@ import (
 	"marchgen/fsm"
 	"marchgen/internal/budget"
 	"marchgen/internal/obs"
-	"marchgen/internal/pool"
 	"marchgen/internal/simd"
 	"marchgen/march"
 )
@@ -123,7 +122,7 @@ func EvaluateEngine(ctx context.Context, t *march.Test, instances []fault.Instan
 	run := obs.From(ctx)
 	var sp *obs.Span
 	if run != nil {
-		sp = run.StartUnder("sim/evaluate").SetInt("instances", int64(len(instances)))
+		sp = obs.SpanUnder(ctx, "sim/evaluate").SetInt("instances", int64(len(instances)))
 		t0 := time.Now()
 		run.Counter("sim.evaluations").Inc()
 		run.Counter("sim.instances").Add(int64(len(instances)))
@@ -308,15 +307,10 @@ func EvaluateN(t *march.Test, instances []fault.Instance, n int) (Coverage, erro
 }
 
 // EvaluateNCtx is EvaluateN with cancellation: the per-instance loop
-// checks ctx and aborts with a typed error.
+// runs on the caller's goroutine, checks ctx before every instance and
+// aborts with a typed error. Each instance's machine is compiled once
+// and shared by all of its placement runs.
 func EvaluateNCtx(ctx context.Context, t *march.Test, instances []fault.Instance, n int) (Coverage, error) {
-	return EvaluateNWorkers(ctx, t, instances, n, 1)
-}
-
-// EvaluateNWorkers is EvaluateNCtx with the per-instance placement runs
-// fanned out over a bounded worker pool (workers <= 0: GOMAXPROCS);
-// results are collected in instance order, identical at any worker count.
-func EvaluateNWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, n, workers int) (Coverage, error) {
 	if run := obs.From(ctx); run != nil {
 		sp := run.StartUnder("sim/evaluate_n").
 			SetInt("instances", int64(len(instances))).
@@ -336,16 +330,21 @@ func EvaluateNWorkers(ctx context.Context, t *march.Test, instances []fault.Inst
 	if err != nil {
 		return Coverage{}, err
 	}
-	one := func(inst fault.Instance) (InstanceResult, error) {
+	cov := Coverage{Test: t}
+	for _, inst := range instances {
+		if err := budget.CtxErr(ctx); err != nil {
+			return Coverage{}, err
+		}
+		lut := simd.Compile(inst.Machine)
 		r := InstanceResult{Instance: inst, Detected: true}
 		detecting := map[int]int{}
 		runs := 0
 		for _, pair := range placements(n) {
 			for initMask := 0; initMask < 4; initMask++ {
 				for _, res := range resolutions {
-					mism, err := runPlaced(t, inst, n, pair, initMask, res)
+					mism, err := runPlaced(t, inst, lut, n, pair, initMask, res)
 					if err != nil {
-						return InstanceResult{}, err
+						return Coverage{}, err
 					}
 					runs++
 					if len(mism) == 0 {
@@ -363,30 +362,6 @@ func EvaluateNWorkers(ctx context.Context, t *march.Test, instances []fault.Inst
 			}
 		}
 		sort.Ints(r.DetectingOps)
-		return r, nil
-	}
-	cov := Coverage{Test: t}
-	if workers = pool.Size(workers); workers > 1 && len(instances) > 1 {
-		results, err := pool.MapCtx(ctx, workers, len(instances), func(i int) (InstanceResult, error) {
-			if err := budget.CtxErr(ctx); err != nil {
-				return InstanceResult{}, err
-			}
-			return one(instances[i])
-		})
-		if err != nil {
-			return Coverage{}, err
-		}
-		cov.Results = results
-		return cov, nil
-	}
-	for _, inst := range instances {
-		if err := budget.CtxErr(ctx); err != nil {
-			return Coverage{}, err
-		}
-		r, err := one(inst)
-		if err != nil {
-			return Coverage{}, err
-		}
 		cov.Results = append(cov.Results, r)
 	}
 	return cov, nil
@@ -411,10 +386,10 @@ func placements(n int) [][2]int {
 	return out
 }
 
-// runPlaced executes one simulation run and returns the mismatching
-// operation indices.
-func runPlaced(t *march.Test, inst fault.Instance, n int, pair [2]int, initMask int, res []march.Order) ([]int, error) {
-	mem, err := NewMemory(n, &PlacedFault{Instance: inst, A: pair[0], B: pair[1]})
+// runPlaced executes one simulation run, with lut the instance's
+// compiled machine, and returns the mismatching operation indices.
+func runPlaced(t *march.Test, inst fault.Instance, lut *simd.Compiled, n int, pair [2]int, initMask int, res []march.Order) ([]int, error) {
+	mem, err := newMemory(n, &PlacedFault{Instance: inst, A: pair[0], B: pair[1]}, lut)
 	if err != nil {
 		return nil, err
 	}

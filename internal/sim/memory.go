@@ -36,6 +36,13 @@ type PlacedFault struct {
 // NewMemory builds an n-cell memory, optionally with a placed fault.
 // The initial content of every cell is X (uninitialised).
 func NewMemory(n int, flt *PlacedFault) (*Memory, error) {
+	return newMemory(n, flt, nil)
+}
+
+// newMemory is NewMemory with the placed fault's machine optionally
+// compiled already, so the runs of one instance share one compilation;
+// a nil lut is compiled here, once the placement checks pass.
+func newMemory(n int, flt *PlacedFault, lut *simd.Compiled) (*Memory, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("sim: memory needs at least 2 cells, got %d", n)
 	}
@@ -48,9 +55,11 @@ func NewMemory(n int, flt *PlacedFault) (*Memory, error) {
 	for k := range cells {
 		cells[k] = march.X
 	}
-	m := &Memory{cells: cells, flt: flt}
+	m := &Memory{cells: cells, flt: flt, lut: lut}
 	if flt != nil {
-		m.lut = simd.Compile(flt.Instance.Machine)
+		if m.lut == nil {
+			m.lut = simd.Compile(flt.Instance.Machine)
+		}
 		m.pair = uint8(simd.StateIndex(fsm.S(cells[flt.A], cells[flt.B])))
 	}
 	return m, nil

@@ -5,6 +5,7 @@ import (
 
 	"marchgen/fault"
 	"marchgen/fsm"
+	"marchgen/internal/simd"
 	"marchgen/march"
 )
 
@@ -263,7 +264,7 @@ func TestPlacementIndependence(t *testing.T) {
 	}
 	var first []int
 	for _, pair := range [][2]int{{0, 1}, {0, 5}, {2, 3}, {4, 5}} {
-		mism, err := runPlaced(mt, inst, 6, pair, 1, res[0])
+		mism, err := runPlaced(mt, inst, simd.Compile(inst.Machine), 6, pair, 1, res[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -264,3 +264,26 @@ func TestClone(t *testing.T) {
 		t.Error("Clone must deep-copy ops")
 	}
 }
+
+func TestWithoutOp(t *testing.T) {
+	orig := New(Elem(Any, W0), Elem(Up, R0, W1), Elem(Down, R1))
+	cases := []struct {
+		e, o int
+		want string
+	}{
+		{1, 0, "{ ⇕(w0); ⇑(w1); ⇓(r1) }"},
+		{1, 1, "{ ⇕(w0); ⇑(r0); ⇓(r1) }"},
+		{2, 0, "{ ⇕(w0); ⇑(r0,w1) }"}, // the emptied element goes
+	}
+	for _, c := range cases {
+		if got := orig.WithoutOp(c.e, c.o).String(); got != c.want {
+			t.Errorf("WithoutOp(%d, %d) = %s, want %s", c.e, c.o, got, c.want)
+		}
+	}
+	if got := orig.String(); got != "{ ⇕(w0); ⇑(r0,w1); ⇓(r1) }" {
+		t.Errorf("WithoutOp mutated the receiver: %s", got)
+	}
+	if got := New(Elem(Any, W0)).WithoutOp(0, 0); got != nil {
+		t.Errorf("removing the last operation = %s, want nil", got)
+	}
+}

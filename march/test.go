@@ -109,6 +109,22 @@ func (t *Test) Clone() *Test {
 	return c
 }
 
+// WithoutOp returns a copy of the test without operation o of element e,
+// dropping the element when that was its only operation. It returns nil
+// when no element is left.
+func (t *Test) WithoutOp(e, o int) *Test {
+	c := t.Clone()
+	elem := &c.Elements[e]
+	elem.Ops = append(elem.Ops[:o], elem.Ops[o+1:]...)
+	if len(elem.Ops) == 0 {
+		c.Elements = append(c.Elements[:e], c.Elements[e+1:]...)
+	}
+	if len(c.Elements) == 0 {
+		return nil
+	}
+	return c
+}
+
 // String renders the test in conventional notation:
 //
 //	{ ⇕(w0); ⇑(r0,w1); ⇓(r1,w0) }

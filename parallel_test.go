@@ -4,6 +4,12 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
+
+	"marchgen/diag"
+	"marchgen/fault"
+	"marchgen/internal/obs"
+	"marchgen/march"
 )
 
 // propertyLists are the fault-list subsets the parallel/caching properties
@@ -82,6 +88,58 @@ func TestGeneratedTestsCompleteAndNonRedundant(t *testing.T) {
 					faults, workers, rep.RemovableOps, rep.RedundantReads)
 			}
 		}
+	}
+}
+
+// TestVerifyOnCallerGoroutine pins that verification never fans out.
+// On the 24 instances of SAF,TF,ADF,CFin,CFid (two kernel blocks),
+// VerifyWorkersCtx at workers 4, VerifyNCtx and diag.BuildCtx record no
+// pool fan-out in the run on their context, and the redundancy audit's
+// evaluations land in that run's metrics: the verify's own, the audit's
+// base and the 9 of March C-'s 10 trial removals that leave a valid
+// test. The audit records one span, not one per evaluation.
+func TestVerifyOnCallerGoroutine(t *testing.T) {
+	const faults = "SAF,TF,ADF,CFin,CFid"
+	models, err := fault.ParseList(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fault.Instances(models)); n != 24 {
+		t.Fatalf("%d instances, want 24 (two kernel blocks)", n)
+	}
+	kt, _ := march.Known("MarchC-")
+	run := obs.NewRun()
+	ctx := obs.Into(context.Background(), run)
+	rep, err := VerifyWorkersCtx(ctx, kt.Test, faults, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Complete || !rep.NonRedundant {
+		t.Errorf("March C-: complete=%v non-redundant=%v, want both", rep.Complete, rep.NonRedundant)
+	}
+	nrep, err := VerifyNCtx(ctx, kt.Test, faults, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nrep.Complete {
+		t.Errorf("March C- incomplete on the 8-cell simulator, missed %v", nrep.Missed)
+	}
+	if _, _, err := diag.BuildCtx(ctx, kt.Test, models, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	snap := run.Snapshot()
+	if n := snap["pool.fanouts"]; n != 0 {
+		t.Errorf("%d pool fan-outs, want 0", n)
+	}
+	if n := snap["sim.evaluations"]; n != 11 {
+		t.Errorf("%d two-cell evaluations, want 11", n)
+	}
+	spans := map[string]int{}
+	for _, ev := range run.Events() {
+		spans[ev.Name]++
+	}
+	if spans["verify/audit"] != 1 || spans["sim/evaluate"] != 1 {
+		t.Errorf("%d verify/audit and %d sim/evaluate spans, want 1 each", spans["verify/audit"], spans["sim/evaluate"])
 	}
 }
 

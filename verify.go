@@ -80,14 +80,14 @@ func VerifyCtx(ctx context.Context, t *march.Test, faults string) (*CoverageRepo
 	return VerifyModelsCtx(ctx, t, models)
 }
 
-// VerifyWorkersCtx is VerifyCtx with a worker count; see
-// VerifyModelsWorkersCtx.
-func VerifyWorkersCtx(ctx context.Context, t *march.Test, faults string, workers int) (*CoverageReport, error) {
-	models, err := fault.ParseList(faults)
-	if err != nil {
-		return nil, err
-	}
-	return VerifyModelsWorkersCtx(ctx, t, models, workers)
+// VerifyWorkersCtx is VerifyCtx; the worker count is ignored. A
+// verification runs on its caller's goroutine: the redundancy audit's
+// trial removals are one evaluation of a few kernel blocks each, and no
+// benchmark row showed their fan-out paying for itself. The parameter
+// stays because callers outside this module (the repository benchmark's
+// service workload) pass it.
+func VerifyWorkersCtx(ctx context.Context, t *march.Test, faults string, _ int) (*CoverageReport, error) {
+	return VerifyCtx(ctx, t, faults)
 }
 
 // VerifyModels is Verify for an already-built fault model list.
@@ -96,19 +96,11 @@ func VerifyModels(t *march.Test, models []fault.Model) (*CoverageReport, error) 
 }
 
 // VerifyModelsCtx is VerifyModels under a cancellation context; see
-// VerifyCtx.
+// VerifyCtx. The simulation, the coverage matrix and the redundancy
+// audit run on the calling goroutine, and the coverage matrix is
+// memoised in the process-wide cache across calls; the report is
+// byte-identical warm or cold.
 func VerifyModelsCtx(ctx context.Context, t *march.Test, models []fault.Model) (*CoverageReport, error) {
-	return VerifyModelsWorkersCtx(ctx, t, models, 1)
-}
-
-// VerifyModelsWorkersCtx is VerifyModelsCtx on the parallel engine: the
-// redundancy audit's trial removals fan out over a bounded worker pool
-// (workers <= 0: GOMAXPROCS), and with workers != 1 the coverage matrix
-// is memoised in the process-wide cache across calls. The coverage
-// simulation and the matrix build each run on the calling goroutine.
-// The report is byte-identical to the sequential verification at any
-// worker count, warm or cold.
-func VerifyModelsWorkersCtx(ctx context.Context, t *march.Test, models []fault.Model, workers int) (*CoverageReport, error) {
 	if t == nil {
 		return nil, fmt.Errorf("marchgen: nil test")
 	}
@@ -124,6 +116,25 @@ func VerifyModelsWorkersCtx(ctx context.Context, t *march.Test, models []fault.M
 	if err != nil {
 		return nil, err
 	}
+	rep := coverageReport(t, cov)
+	sp.SetInt("complete", boolInt(rep.Complete))
+	if !rep.Complete {
+		return rep, nil
+	}
+	analysis, err := cover.AnalyzeCtx(ctx, t, instances, memo.Shared())
+	if err != nil {
+		return nil, err
+	}
+	rep.NonRedundant = analysis.NonRedundant
+	rep.RedundantReads = analysis.RedundantReads
+	rep.RemovableOps = analysis.RemovableOps
+	rep.MinCoverBlocks = analysis.MinCover
+	return rep, nil
+}
+
+// coverageReport renders a simulator verdict as a CoverageReport, with
+// the non-redundancy fields left for the caller.
+func coverageReport(t *march.Test, cov sim.Coverage) *CoverageReport {
 	rep := &CoverageReport{
 		Test:       t,
 		Complexity: t.Complexity(),
@@ -138,23 +149,7 @@ func VerifyModelsWorkersCtx(ctx context.Context, t *march.Test, models []fault.M
 			DetectingOps: append([]int(nil), r.DetectingOps...),
 		})
 	}
-	sp.SetInt("complete", boolInt(rep.Complete))
-	if !rep.Complete {
-		return rep, nil
-	}
-	var cache *memo.Cache
-	if workers != 1 {
-		cache = memo.Shared()
-	}
-	analysis, err := cover.AnalyzeWorkers(ctx, t, instances, workers, cache)
-	if err != nil {
-		return nil, err
-	}
-	rep.NonRedundant = analysis.NonRedundant
-	rep.RedundantReads = analysis.RedundantReads
-	rep.RemovableOps = analysis.RemovableOps
-	rep.MinCoverBlocks = analysis.MinCover
-	return rep, nil
+	return rep
 }
 
 // VerifyKnown verifies one of the classic March tests from package march
@@ -175,37 +170,16 @@ func VerifyN(t *march.Test, faults string, cells int) (*CoverageReport, error) {
 	return VerifyNCtx(context.Background(), t, faults, cells)
 }
 
-// VerifyNCtx is VerifyN under a cancellation context; see VerifyCtx.
+// VerifyNCtx is VerifyN under a cancellation context; see VerifyCtx. The
+// per-instance placement runs execute on the calling goroutine.
 func VerifyNCtx(ctx context.Context, t *march.Test, faults string, cells int) (*CoverageReport, error) {
-	return VerifyNWorkersCtx(ctx, t, faults, cells, 1)
-}
-
-// VerifyNWorkersCtx is VerifyNCtx with the per-instance placement runs
-// fanned out over a bounded worker pool (workers <= 0: GOMAXPROCS); the
-// report is byte-identical at any worker count.
-func VerifyNWorkersCtx(ctx context.Context, t *march.Test, faults string, cells, workers int) (*CoverageReport, error) {
 	models, err := fault.ParseList(faults)
 	if err != nil {
 		return nil, err
 	}
-	instances := fault.Instances(models)
-	cov, err := sim.EvaluateNWorkers(ctx, t, instances, cells, workers)
+	cov, err := sim.EvaluateNCtx(ctx, t, fault.Instances(models), cells)
 	if err != nil {
 		return nil, err
 	}
-	rep := &CoverageReport{
-		Test:       t,
-		Complexity: t.Complexity(),
-		Complete:   cov.Complete(),
-		Missed:     cov.Missed(),
-	}
-	for _, r := range cov.Results {
-		rep.Instances = append(rep.Instances, InstanceCoverage{
-			Model:        r.Instance.Model,
-			Name:         r.Instance.Name,
-			Detected:     r.Detected,
-			DetectingOps: append([]int(nil), r.DetectingOps...),
-		})
-	}
-	return rep, nil
+	return coverageReport(t, cov), nil
 }
