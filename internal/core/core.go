@@ -265,6 +265,14 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 			return cached, nil
 		}
 	}
+	// One evaluator serves every evaluation of the run: validation,
+	// shrink, relaxOrders and the final check all evaluate against this
+	// fault list, so its kernel blocks are looked up once, here, after
+	// the result memo has had its chance to answer.
+	eval, err := sim.NewEvaluator(ctx, instances)
+	if err != nil {
+		return nil, err
+	}
 	classes := tpg.Classes(instances)
 	if opts.DisableEquivalence {
 		classes = splitClasses(classes)
@@ -288,7 +296,7 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	prog.Selection(0, int64(len(selections)))
 	gen := &genContext{
 		ctx:         ctx,
-		instances:   instances,
+		eval:        eval,
 		faultKey:    faultKey,
 		verdict:     map[string]bool{},
 		meter:       m,
@@ -349,7 +357,7 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	if gen.err != nil {
 		return nil, gen.err
 	}
-	cov, err := sim.EvaluateCtx(ctx, best, instances)
+	cov, err := eval.Evaluate(ctx, best)
 	if err != nil {
 		return nil, err
 	}
@@ -684,8 +692,9 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 // validation latches into err (and fails the pending verdict), while the
 // soft deadline merely stops the shrink loop early via softStopped.
 type genContext struct {
-	ctx       context.Context
-	instances []fault.Instance
+	ctx context.Context
+	// eval evaluates candidates against the run's fault list.
+	eval *sim.Evaluator
 	// faultKey is the canonical fault-list key; shared verdict-cache
 	// entries are scoped to it so verdicts for different fault lists can
 	// never alias.
@@ -729,7 +738,7 @@ func (g *genContext) complete(t *march.Test) bool {
 			return v.(bool)
 		}
 	}
-	cov, err := sim.EvaluateCtx(g.ctx, t, g.instances)
+	cov, err := g.eval.Evaluate(g.ctx, t)
 	if err != nil && budget.IsHard(err) {
 		g.err = err
 		return false

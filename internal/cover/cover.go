@@ -289,7 +289,10 @@ func Analyze(t *march.Test, instances []fault.Instance) (*Report, error) {
 // cancelling ctx aborts the matrix build or the op-level audit (see
 // RemovableOpsCtx) with a typed error, and a non-nil cache memoises the
 // coverage matrix across runs. The report is byte-identical warm or
-// cold.
+// cold. The audit skips RemovableOpsCtx's evaluation of t itself: the
+// matrix build has already shown that every (instance, initial content,
+// resolution) run of t mismatches, so only t's self-consistency, which
+// the build does not check, is left to check.
 func AnalyzeCtx(ctx context.Context, t *march.Test, instances []fault.Instance, cache *memo.Cache) (*Report, error) {
 	m, err := BuildCtx(ctx, t, instances, cache)
 	if err != nil {
@@ -312,7 +315,7 @@ func AnalyzeCtx(ctx context.Context, t *march.Test, instances []fault.Instance, 
 			rep.RedundantReads = append(rep.RedundantReads, m.Rows[r])
 		}
 	}
-	removable, err := RemovableOpsCtx(ctx, t, instances)
+	removable, err := audit(ctx, t, instances, false)
 	if err != nil {
 		return nil, err
 	}
@@ -341,21 +344,40 @@ func RemovableOps(t *march.Test, instances []fault.Instance) ([]int, error) {
 
 // RemovableOpsCtx is RemovableOps under a context: the base evaluation
 // and every trial removal (each re-simulates the whole fault list) run
-// on the caller's goroutine through sim.EvaluateCtx, and ctx is checked
+// on the caller's goroutine on one sim.Evaluator, and ctx is checked
 // after every trial. Cancelling ctx aborts the audit with a typed error
 // (budget.ErrCanceled or budget.ErrDeadlineExceeded). The evaluations
 // count in the metrics of the observability run attached to ctx, under
 // one verify/audit span rather than one span each (see obs.Quiet).
 func RemovableOpsCtx(ctx context.Context, t *march.Test, instances []fault.Instance) ([]int, error) {
+	return audit(ctx, t, instances, true)
+}
+
+// audit is the op-level redundancy audit. With evalBase set it first
+// evaluates t and fails unless t is complete; without, it only checks
+// that t is self-consistent, in the same place, so the caller must
+// already know t complete.
+func audit(ctx context.Context, t *march.Test, instances []fault.Instance, evalBase bool) ([]int, error) {
 	sp := obs.From(ctx).StartUnder("verify/audit")
 	defer sp.End()
 	ctx = obs.Quiet(ctx)
-	cov, err := sim.EvaluateCtx(ctx, t, instances)
+	if !evalBase {
+		if err := sim.SelfConsistent(t); err != nil {
+			return nil, err
+		}
+	}
+	ev, err := sim.NewEvaluator(ctx, instances)
 	if err != nil {
 		return nil, err
 	}
-	if !cov.Complete() {
-		return nil, fmt.Errorf("cover: test %s misses %v", t, cov.Missed())
+	if evalBase {
+		cov, err := ev.Evaluate(ctx, t)
+		if err != nil {
+			return nil, err
+		}
+		if !cov.Complete() {
+			return nil, fmt.Errorf("cover: test %s misses %v", t, cov.Missed())
+		}
 	}
 	var removable []int
 	flat := 0
@@ -365,7 +387,7 @@ func RemovableOpsCtx(ctx context.Context, t *march.Test, instances []fault.Insta
 			// fails to evaluate (a read no longer expecting what the
 			// fault-free memory holds) is not removable.
 			if cand := t.WithoutOp(e, o); cand.Validate() == nil {
-				if c, err := sim.EvaluateCtx(ctx, cand, instances); err == nil && c.Complete() {
+				if c, err := ev.Evaluate(ctx, cand); err == nil && c.Complete() {
 					removable = append(removable, flat)
 				}
 			}

@@ -188,3 +188,54 @@ func TestRemovableOpsHonoursCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestAuditErrorTexts pins the errors of incomplete, inconsistent and
+// malformed tests, texts and order. In AnalyzeCtx the matrix build's
+// miss comes first, then the audit's self-consistency check, which
+// validates the test too; RemovableOps evaluates the test itself, so it
+// reports an inconsistent test before a miss, and a miss as a list.
+func TestAuditErrorTexts(t *testing.T) {
+	cases := []struct {
+		test, faults      string
+		analyze, removals string
+	}{
+		{
+			"{ ⇕(w0); ⇑(r0,w1); ⇓(r1,w0) }", "SAF,TF",
+			"cover: test { ⇕(w0); ⇑(r0,w1); ⇓(r1,w0) } misses TF<d> (init 00)",
+			"cover: test { ⇕(w0); ⇑(r0,w1); ⇓(r1,w0) } misses [TF<d>]",
+		},
+		{
+			"{ ⇕(w0); ⇑(r1) }", "SAF",
+			"cover: test { ⇕(w0); ⇑(r1) } misses SA0 (init 00)",
+			"sim: test { ⇕(w0); ⇑(r1) } is inconsistent: operation 1 (r1) reads 0 on a fault-free memory",
+		},
+		{
+			"{ ⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0); ⇕(r1) }", "SAF,TF,ADF,CFin,CFid",
+			"sim: test { ⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0); ⇕(r1) } is inconsistent: operation 10 (r1) reads 0 on a fault-free memory",
+			"sim: test { ⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0); ⇕(r1) } is inconsistent: operation 10 (r1) reads 0 on a fault-free memory",
+		},
+		{
+			"{ ⇑(r0,w1); ⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0) }", "SAF,TF,ADF,CFin,CFid",
+			"march: test reads before any write (first operation r0)",
+			"march: test reads before any write (first operation r0)",
+		},
+		{
+			"{ ⇕(w0); ⇑(r0,w1); Del; ⇕(r0); ⇓(r1,w0); ⇕(r0) }", "SAF,TF",
+			"sim: test { ⇕(w0); ⇑(r0,w1); Del; ⇕(r0); ⇓(r1,w0); ⇕(r0) } is inconsistent: operation 3 (r0) reads 1 on a fault-free memory",
+			"sim: test { ⇕(w0); ⇑(r0,w1); Del; ⇕(r0); ⇓(r1,w0); ⇕(r0) } is inconsistent: operation 3 (r0) reads 1 on a fault-free memory",
+		},
+	}
+	for _, c := range cases {
+		mt, err := march.Parse(c.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts := instances(t, c.faults)
+		if _, err := AnalyzeCtx(context.Background(), mt, insts, nil); err == nil || err.Error() != c.analyze {
+			t.Errorf("%s on %s: AnalyzeCtx error %v, want %q", c.test, c.faults, err, c.analyze)
+		}
+		if _, err := RemovableOps(mt, insts); err == nil || err.Error() != c.removals {
+			t.Errorf("%s on %s: RemovableOps error %v, want %q", c.test, c.faults, err, c.removals)
+		}
+	}
+}

@@ -95,7 +95,9 @@ func Evaluate(t *march.Test, instances []fault.Instance) (Coverage, error) {
 // EvaluateCtx is Evaluate with cancellation: the per-block loop checks
 // ctx and aborts with a typed error (budget.ErrCanceled or
 // budget.ErrDeadlineExceeded). The evaluation runs on the bit-parallel
-// kernel, on the caller's goroutine.
+// kernel, on the caller's goroutine, through a one-use Evaluator;
+// callers that evaluate many tests against one fault list build one
+// with NewEvaluator and keep it.
 func EvaluateCtx(ctx context.Context, t *march.Test, instances []fault.Instance) (Coverage, error) {
 	return EvaluateEngine(ctx, t, instances, 1, Kernel)
 }
@@ -115,37 +117,25 @@ func EvaluateWorkers(ctx context.Context, t *march.Test, instances []fault.Insta
 // EvaluateEngine is EvaluateCtx with an explicit engine choice; the
 // worker count is ignored, as in EvaluateWorkers. The scalar engine is
 // the reference oracle the differential tests compare the kernel
-// against; production callers use Kernel. A kernel evaluation whose
-// blocks fail to compile returns that error instead of switching
-// engines.
+// against; production callers use Kernel, which is NewEvaluator plus
+// Evaluate. A kernel evaluation whose blocks fail to compile returns
+// that error instead of switching engines.
 func EvaluateEngine(ctx context.Context, t *march.Test, instances []fault.Instance, _ int, engine Engine) (Coverage, error) {
-	run := obs.From(ctx)
-	var sp *obs.Span
-	if run != nil {
-		sp = obs.SpanUnder(ctx, "sim/evaluate").SetInt("instances", int64(len(instances)))
-		t0 := time.Now()
-		run.Counter("sim.evaluations").Inc()
-		run.Counter("sim.instances").Add(int64(len(instances)))
-		defer func() {
-			run.Histogram("sim.evaluate_ns").Observe(int64(time.Since(t0)))
-			sp.End()
-		}()
+	if engine == Scalar {
+		return observeEvaluate(ctx, t, instances, nil)
 	}
-	cov, err := evaluateDispatch(ctx, t, instances, engine, run)
-	if err == nil && run != nil {
-		// Publish the evaluation as live coverage progress and stamp the
-		// detected count on the span: one count per evaluation, far off
-		// the per-word kernel path.
-		detected := int64(cov.Detected())
-		sp.SetInt("detected", detected)
-		run.Progress().Coverage(detected, int64(len(cov.Results)))
+	ev, err := NewEvaluator(ctx, instances)
+	if err != nil {
+		return Coverage{}, err
 	}
-	return cov, err
+	return ev.Evaluate(ctx, t)
 }
 
-// evaluateDispatch picks the engine and runs the evaluation; split from
-// EvaluateEngine so the observation wrapper sees the Coverage it returns.
-func evaluateDispatch(ctx context.Context, t *march.Test, instances []fault.Instance, engine Engine, run *obs.Run) (Coverage, error) {
+// evaluateScalar is the reference implementation: per instance, the
+// closure-dispatch machine is walked over every resolution's trace with
+// fsm.Detects / fsm.DetectingReads. The per-op detection tallies use a
+// flat counter row indexed by flattened operation position.
+func evaluateScalar(ctx context.Context, t *march.Test, instances []fault.Instance) (Coverage, error) {
 	if err := SelfConsistent(t); err != nil {
 		return Coverage{}, err
 	}
@@ -153,23 +143,6 @@ func evaluateDispatch(ctx context.Context, t *march.Test, instances []fault.Inst
 	if err != nil {
 		return Coverage{}, err
 	}
-	if engine == Scalar || len(instances) == 0 {
-		return evaluateScalar(ctx, t, instances, resolutions)
-	}
-	blocks, hits, compiles, err := simd.CompiledBlocks(instances)
-	if err != nil {
-		return Coverage{}, fmt.Errorf("sim: kernel blocks: %w", err)
-	}
-	traces := kernelTraces(t, resolutions)
-	observeKernel(run, blocks, hits, compiles, len(traces), len(instances))
-	return evaluateKernel(ctx, t, instances, traces, blocks)
-}
-
-// evaluateScalar is the reference implementation: per instance, the
-// closure-dispatch machine is walked over every resolution's trace with
-// fsm.Detects / fsm.DetectingReads. The per-op detection tallies use a
-// flat counter row indexed by flattened operation position.
-func evaluateScalar(ctx context.Context, t *march.Test, instances []fault.Instance, resolutions [][]march.Order) (Coverage, error) {
 	type traced struct {
 		trace     []fsm.Input
 		positions []int
@@ -243,7 +216,8 @@ func RunsEngine(t *march.Test, inst fault.Instance, engine Engine) ([]Run, error
 // returning the per-instance run lists in instance order, on the
 // caller's goroutine. On the kernel engine the whole batch shares the
 // lowered traces and the compiled blocks, so the marginal cost per
-// instance is a few bit operations per trace position. Results are
+// instance is a few bit operations per trace position. It neither
+// validates the test nor checks its self-consistency. Results are
 // byte-identical across engines; a kernel batch whose blocks fail to
 // compile returns that error.
 func RunsBatch(ctx context.Context, t *march.Test, instances []fault.Instance, engine Engine) ([][]Run, error) {
@@ -268,9 +242,11 @@ func RunsBatch(ctx context.Context, t *march.Test, instances []fault.Instance, e
 	if err != nil {
 		return nil, fmt.Errorf("sim: kernel blocks: %w", err)
 	}
-	traces := kernelTraces(t, resolutions)
-	observeKernel(obs.From(ctx), blocks, hits, compiles, len(traces), len(instances))
-	return runsKernel(ctx, t, resolutions, traces, blocks)
+	lw, _ := lower(t, resolutions, false) // only the check can fail
+	run := obs.From(ctx)
+	observeBlocks(run, hits, compiles)
+	observeKernel(run, len(blocks), len(lw.traces), len(instances))
+	return runsKernel(ctx, lw, blocks)
 }
 
 // runsScalar is the reference implementation of Runs: one closure-dispatch

@@ -100,31 +100,11 @@ func toInput(op march.Op, c fsm.Cell) fsm.Input {
 // SelfConsistent checks that the test's read-and-verify operations expect
 // exactly what the fault-free memory returns — e.g. that a ⇑(r0,w1)
 // element is not applied to memory holding ones. A test failing this check
-// would flag a good memory as faulty.
+// would flag a good memory as faulty. It validates the test, enumerates
+// its ⇕ resolutions and lowers each into kernel form, reading every
+// read's fault-free value off the compiled good machine; the error names
+// the first failing read in resolution order, then trace order.
 func SelfConsistent(t *march.Test) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	resolutions, err := Resolutions(t)
-	if err != nil {
-		return err
-	}
-	good := fsm.Good()
-	ops := t.Ops()
-	for _, res := range resolutions {
-		trace, positions := Trace(t, res)
-		s := fsm.Unknown
-		for k, in := range trace {
-			if in.IsRead() {
-				got := good.Output(s, in)
-				want := ops[positions[k]].Data
-				if got != want {
-					return fmt.Errorf("sim: test %s is inconsistent: operation %d (%s) reads %s on a fault-free memory",
-						t, positions[k], ops[positions[k]], got)
-				}
-			}
-			s = good.Next(s, in)
-		}
-	}
-	return nil
+	_, err := lowerChecked(t)
+	return err
 }

@@ -143,11 +143,12 @@ func NibbleAll(w uint64) uint64 {
 	return w & (w >> 1) & (w >> 2) & (w >> 3) & nibbleLSB
 }
 
-// blockCache memoises compiled blocks across evaluations: the generation
-// engine re-validates hundreds of candidate tests against the same fault
-// list, and the block masks depend only on the instances. Keys are
-// content-addressed (fault.Key), so two lists posing the same instances
-// share the compilation regardless of which run posed them.
+// blockCache memoises compiled blocks across runs: a generation, a
+// verify and a redundancy audit each look their fault list's blocks up
+// once (sim.NewEvaluator), and the block masks depend only on the
+// instances, so a later run over the same instances skips the build.
+// Keys are content-addressed (fault.Key), so two lists posing the same
+// instances share the compilation regardless of which run posed them.
 var blockCache = memo.New(1024)
 
 // blockKey fingerprints one block's instance chunk for the cache.

@@ -97,7 +97,10 @@ func Good() *Compiled { return good }
 // returns the fault-free output of every position: X for non-reads and
 // for reads whose good value cannot be known (read before write). Reads
 // with an X expected value never count as observations, mirroring the
-// scalar engine.
+// scalar engine. The fault simulator's evaluations lower a March test
+// straight into inputs and expected outputs in one pass; EncodeTrace
+// and ExpectedOutputs are the two-step form that lowering is checked
+// against.
 func ExpectedOutputs(inputs []uint8) []march.Bit {
 	out := make([]march.Bit, len(inputs))
 	s := uint8(StateIndex(fsm.Unknown))

@@ -42,11 +42,12 @@
 //
 // # Caching
 //
-// Compiling a block costs 16 × 9 × 7 closure evaluations, and the
-// generation engine evaluates hundreds of candidate tests against the
-// same fault list, so compiled blocks are memoised process-wide in an
-// internal/memo cache under the "simd/block" fingerprint namespace (the
-// canonical fault.Key of the block's instances). A block is a pure
+// Compiling a block costs 16 × 9 × 7 closure evaluations. A run looks
+// its fault list's blocks up once and evaluates every candidate test on
+// them (sim.Evaluator), and compiled blocks are memoised process-wide in
+// an internal/memo cache under the "simd/block" fingerprint namespace
+// (the canonical fault.Key of the block's instances), so a later run
+// over the same instances skips the build. A block is a pure
 // function of its instance list — caching it can never change a result,
 // only its latency, which is why this cache is consulted even by
 // budgeted runs that bypass the result-level caches. Single-instance

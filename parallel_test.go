@@ -95,9 +95,11 @@ func TestGeneratedTestsCompleteAndNonRedundant(t *testing.T) {
 // On the 24 instances of SAF,TF,ADF,CFin,CFid (two kernel blocks),
 // VerifyWorkersCtx at workers 4, VerifyNCtx and diag.BuildCtx record no
 // pool fan-out in the run on their context, and the redundancy audit's
-// evaluations land in that run's metrics: the verify's own, the audit's
-// base and the 9 of March C-'s 10 trial removals that leave a valid
-// test. The audit records one span, not one per evaluation.
+// evaluations land in that run's metrics: the verify's own and the 9 of
+// March C-'s 10 trial removals that leave a valid test. The audit does
+// not evaluate the test again, since the coverage matrix has already
+// shown it complete. The audit records one span, not one per
+// evaluation.
 func TestVerifyOnCallerGoroutine(t *testing.T) {
 	const faults = "SAF,TF,ADF,CFin,CFid"
 	models, err := fault.ParseList(faults)
@@ -131,8 +133,8 @@ func TestVerifyOnCallerGoroutine(t *testing.T) {
 	if n := snap["pool.fanouts"]; n != 0 {
 		t.Errorf("%d pool fan-outs, want 0", n)
 	}
-	if n := snap["sim.evaluations"]; n != 11 {
-		t.Errorf("%d two-cell evaluations, want 11", n)
+	if n := snap["sim.evaluations"]; n != 10 {
+		t.Errorf("%d two-cell evaluations, want 10", n)
 	}
 	spans := map[string]int{}
 	for _, ev := range run.Events() {
@@ -140,6 +142,25 @@ func TestVerifyOnCallerGoroutine(t *testing.T) {
 	}
 	if spans["verify/audit"] != 1 || spans["sim/evaluate"] != 1 {
 		t.Errorf("%d verify/audit and %d sim/evaluate spans, want 1 each", spans["verify/audit"], spans["sim/evaluate"])
+	}
+}
+
+// TestGenerateOneEvaluator pins that a generation looks its fault list's
+// kernel blocks up once: the 24 instances of SAF,TF,ADF,CFin,CFid make
+// two blocks, so a cold one-worker run records two block lookups
+// (simd.block_cache_hits + simd.block_compiles) however many candidates
+// its validate, shrink and finalize stages evaluate.
+func TestGenerateOneEvaluator(t *testing.T) {
+	res, err := GenerateCtx(context.Background(), "SAF,TF,ADF,CFin,CFid", WithoutCache(), WithWorkers(1), WithMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Stats.Metrics
+	if n := m[obs.CounterKernelBlockHits] + m[obs.CounterKernelBlockCompiles]; n != 2 {
+		t.Errorf("%d block lookups, want 2 (one per block)", n)
+	}
+	if n := m["sim.evaluations"]; n < 50 {
+		t.Errorf("%d evaluations, want the validate and shrink stages' many", n)
 	}
 }
 

@@ -112,7 +112,11 @@ func VerifyModelsCtx(ctx context.Context, t *march.Test, models []fault.Model) (
 	sp := run.Start("verify").SetInt("instances", int64(len(instances)))
 	defer run.WithPhase(sp)()
 	defer sp.End()
-	cov, err := sim.EvaluateCtx(ctx, t, instances)
+	ev, err := sim.NewEvaluator(ctx, instances)
+	if err != nil {
+		return nil, err
+	}
+	cov, err := ev.Evaluate(ctx, t)
 	if err != nil {
 		return nil, err
 	}
