@@ -160,11 +160,8 @@ func chaosMix() []chaosJob {
 // from "server slow".
 type serverProc struct {
 	bin, addr, dir, failpoints string
-	// extraArgs appends further marchserve flags (the replica driver
-	// passes -peers here).
-	extraArgs []string
-	cmd       *exec.Cmd
-	exited    chan struct{}
+	cmd                        *exec.Cmd
+	exited                     chan struct{}
 }
 
 // start launches the server (relaunching if an armed kill failpoint
@@ -173,8 +170,7 @@ func (p *serverProc) start() error {
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		if p.cmd == nil {
-			args := append([]string{"-addr", p.addr, "-store", p.dir}, p.extraArgs...)
-			cmd := exec.Command(p.bin, args...)
+			cmd := exec.Command(p.bin, "-addr", p.addr, "-store", p.dir)
 			cmd.Stderr = os.Stderr
 			cmd.Env = os.Environ()
 			if p.failpoints != "" {

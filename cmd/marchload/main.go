@@ -57,11 +57,6 @@ type result struct {
 	fromCache bool
 	shed      bool
 	retries   int
-	// faults/test/servedBy feed the replica-set driver's per-replica
-	// tally and byte-identity check (empty outside -replicas runs).
-	faults   string
-	test     string
-	servedBy string
 }
 
 // Report is the JSON trajectory entry marchload appends to -o: one
@@ -103,13 +98,6 @@ type Report struct {
 	// entries therefore diff bucket-by-bucket across runs.
 	HistBoundsUS []int64 `json:"hist_bounds_us"`
 	HistCounts   []int64 `json:"hist_counts"`
-	// Replica-set runs only (-replicas): the set size, how many requests
-	// each replica actually served (from X-March-Served-By — a skewed
-	// map is a ring-imbalance regression), and the replica killed
-	// mid-run, if any.
-	Replicas      int            `json:"replicas,omitempty"`
-	PerReplica    map[string]int `json:"per_replica,omitempty"`
-	KilledReplica string         `json:"killed_replica,omitempty"`
 }
 
 func main() { os.Exit(run()) }
@@ -123,8 +111,6 @@ func run() int {
 	timeoutMS := flag.Int("timeout-ms", 0, "per-request timeout_ms forwarded to the server (0: server default)")
 	retries := flag.Int("retries", 4, "max retries per request after a 503 shed (Retry-After honored, capped backoff + jitter)")
 	out := flag.String("o", "", "append the run's report to this JSON trajectory file (e.g. BENCH_serve.json)")
-	replicas := flag.Int("replicas", 0, "spawn and drive an N-replica marchserve set instead of targeting -addr (uses -server-bin)")
-	replicaKill := flag.Int("replica-kill", 0, "with -replicas, SIGKILL this replica (1-based) about a third of the way through the run")
 	chaosFlags := bindChaosFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -142,20 +128,6 @@ func run() int {
 	lists := strings.Split(*faults, ";")
 	for i := range lists {
 		lists[i] = strings.TrimSpace(lists[i])
-	}
-	if *replicas > 0 {
-		return replicasRun(&replicaOpts{
-			replicas:   *replicas,
-			kill:       *replicaKill,
-			serverBin:  chaosFlags.serverBin,
-			n:          *n,
-			c:          *c,
-			lists:      lists,
-			budgetSpec: *budgetSpec,
-			timeoutMS:  *timeoutMS,
-			retries:    *retries,
-			out:        *out,
-		})
 	}
 
 	client := &http.Client{Timeout: 5 * time.Minute}
@@ -239,9 +211,8 @@ func fire(client *http.Client, url, faults, budgetSpec string, timeoutMS, maxRet
 			continue
 		}
 		var parsed struct {
-			Test      string `json:"test"`
-			Coalesced bool   `json:"coalesced"`
-			FromCache bool   `json:"from_cache"`
+			Coalesced bool `json:"coalesced"`
+			FromCache bool `json:"from_cache"`
 		}
 		_ = json.Unmarshal(raw, &parsed)
 		return result{
@@ -251,9 +222,6 @@ func fire(client *http.Client, url, faults, budgetSpec string, timeoutMS, maxRet
 			fromCache: parsed.FromCache,
 			shed:      resp.StatusCode == http.StatusServiceUnavailable,
 			retries:   retries,
-			faults:    faults,
-			test:      parsed.Test,
-			servedBy:  resp.Header.Get("X-March-Served-By"),
 		}
 	}
 }

@@ -23,12 +23,6 @@
 // are cache hits, and a restarted server re-adopts incomplete jobs and
 // resumes them from their last checkpoint.
 //
-// -peers A,B,C (each replica started with the same list and its own
-// -addr from it) forms a replica set: requests forward to the replica
-// owning their content key on a consistent-hash ring, and memo entries
-// warm on any replica are fetched from peers. See docs/operations.md for
-// the deployment recipe.
-//
 // SIGINT/SIGTERM drain gracefully: /readyz flips to 503, new requests are
 // shed, in-flight requests finish (bounded by -drain-timeout), running
 // jobs suspend with a durable checkpoint, then the listener closes and
@@ -49,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -72,7 +65,6 @@ func run() int {
 	budgetSpec := flag.String("budget", "", "default soft budget for generate requests, e.g. nodes=100000,soft=2s")
 	workers := flag.Int("workers", 0, "default worker-pool size of a generation's selection sweep, the only parallelism (0: GOMAXPROCS); verify and simulate run on one goroutine")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
-	peers := flag.String("peers", "", "comma-separated replica addresses forming a replica set with this server (must include -addr)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -86,11 +78,6 @@ func run() int {
 	w, err := budget.ParseWorkers(*workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marchserve:", err)
-		return budget.ExitUsage
-	}
-	peerList := splitPeers(*peers)
-	if len(peerList) > 0 && !containsAddr(peerList, *addr) {
-		fmt.Fprintf(os.Stderr, "marchserve: -peers %q must include the listen address %q\n", *peers, *addr)
 		return budget.ExitUsage
 	}
 
@@ -127,14 +114,9 @@ func run() int {
 		Workers:        w,
 		Store:          st,
 		Obs:            orun,
-		Self:           *addr,
-		Peers:          peerList,
 	})
 	if st != nil {
 		fmt.Fprintf(os.Stderr, "marchserve: job store %s (%d incomplete jobs re-adopted)\n", *storeDir, srv.RecoveredJobs())
-	}
-	if len(peerList) > 1 {
-		fmt.Fprintf(os.Stderr, "marchserve: replica set of %d (self %s)\n", len(peerList), *addr)
 	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -176,25 +158,4 @@ func effectiveInflight(n int) int {
 		return n
 	}
 	return serve.DefaultConfig().MaxInFlight
-}
-
-// splitPeers parses the -peers flag: a comma-separated address list,
-// blanks dropped.
-func splitPeers(spec string) []string {
-	var out []string
-	for _, p := range strings.Split(spec, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func containsAddr(peers []string, addr string) bool {
-	for _, p := range peers {
-		if p == addr {
-			return true
-		}
-	}
-	return false
 }

@@ -518,8 +518,9 @@ type tourFragment struct {
 // answers reports whether the fragment can answer the solve of g under
 // the start costs starts: it holds at least one path, and every path is
 // a permutation of the TPG's nodes whose visit cost is the fragment's
-// cost. Fragments cross process and peer boundaries, so a well-formed
-// but wrong one must read as a miss, not index past the node list.
+// cost. Fragments cross process boundaries through the durable store,
+// so a well-formed but wrong one must read as a miss, not index past
+// the node list.
 func (f *tourFragment) answers(g *tpg.Graph, starts []int) bool {
 	for _, p := range f.paths {
 		if !validFragmentPath(p, len(starts)) || visitCost(g, starts, p) != f.cost {

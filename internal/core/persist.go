@@ -19,9 +19,9 @@
 //     verdicts by position; the instances themselves are re-expanded
 //     from the fault list at load time, which is what keeps the
 //     encoding small and the key the sole source of truth). This is
-//     the kind that makes a replica set's result warmth portable: a
-//     peer fetch of one entry answers a whole generate request with
-//     FromCache set and zero engine work.
+//     the kind that warms a restarted server from its store: one
+//     entry answers a whole generate request with FromCache set and
+//     zero engine work.
 //
 // Coverage matrices stay memory-only: they rebuild quickly from the
 // bit-parallel kernel. Because memo values are pure functions of their

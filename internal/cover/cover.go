@@ -43,7 +43,12 @@ type Matrix struct {
 // It fails when some fault condition has no mismatching read at all — the
 // matrix is only meaningful for complete tests.
 func Build(t *march.Test, instances []fault.Instance) (*Matrix, error) {
-	return BuildCtx(context.Background(), t, instances, nil)
+	ctx := context.Background()
+	ev, err := sim.NewEvaluator(ctx, instances)
+	if err != nil {
+		return nil, err
+	}
+	return BuildCtx(ctx, t, ev, nil)
 }
 
 // At reports whether block r observes a mismatch for fault condition c.
@@ -68,13 +73,15 @@ func matrixKey(t *march.Test, instances []fault.Instance) string {
 	return memo.NewFingerprinter("cover").Str(t.String()).Str(fault.Key(instances)).Key()
 }
 
-// BuildCtx is Build under a context and, when cache is non-nil, memoised
-// under the canonical (test, fault list) fingerprint; the matrix is
+// BuildCtx is Build under a context, on the fault list and kernel
+// blocks of ev, and, when cache is non-nil, memoised under the
+// canonical (test, fault list) fingerprint; the matrix is
 // byte-identical warm or cold. The per-run simulation is one
-// sim.RunsBatch call on the caller's goroutine. The context carries the
-// observability run (when one is attached): the build gets a
+// Evaluator.Runs call on the caller's goroutine. The context carries
+// the observability run (when one is attached): the build gets a
 // verify/cover span and the matrix shape lands in the run's metrics.
-func BuildCtx(ctx context.Context, t *march.Test, instances []fault.Instance, cache *memo.Cache) (*Matrix, error) {
+func BuildCtx(ctx context.Context, t *march.Test, ev *sim.Evaluator, cache *memo.Cache) (*Matrix, error) {
+	instances := ev.Instances()
 	run := obs.From(ctx)
 	sp := run.StartUnder("verify/cover").SetInt("instances", int64(len(instances)))
 	var key string
@@ -92,7 +99,7 @@ func BuildCtx(ctx context.Context, t *march.Test, instances []fault.Instance, ca
 		label string
 		ops   []int
 	}
-	perInstance, err := sim.RunsBatch(ctx, t, instances, sim.Kernel)
+	perInstance, err := ev.Runs(ctx, t)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -282,19 +289,22 @@ type Report struct {
 
 // Analyze runs the full Section 6 check on a test against a fault list.
 func Analyze(t *march.Test, instances []fault.Instance) (*Report, error) {
-	return AnalyzeCtx(context.Background(), t, instances, nil)
+	return AnalyzeWorkers(context.Background(), t, instances, 1, nil)
 }
 
-// AnalyzeCtx is Analyze under a context, on the caller's goroutine:
-// cancelling ctx aborts the matrix build or the op-level audit (see
-// RemovableOpsCtx) with a typed error, and a non-nil cache memoises the
-// coverage matrix across runs. The report is byte-identical warm or
-// cold. The audit skips RemovableOpsCtx's evaluation of t itself: the
-// matrix build has already shown that every (instance, initial content,
-// resolution) run of t mismatches, so only t's self-consistency, which
-// the build does not check, is left to check.
-func AnalyzeCtx(ctx context.Context, t *march.Test, instances []fault.Instance, cache *memo.Cache) (*Report, error) {
-	m, err := BuildCtx(ctx, t, instances, cache)
+// AnalyzeCtx is Analyze under a context, on the fault list and kernel
+// blocks of ev, on the caller's goroutine: the matrix build and the
+// op-level audit share ev, so the list's blocks are looked up once, by
+// whoever built ev. Cancelling ctx aborts the matrix build or the audit
+// (see RemovableOpsCtx) with a typed error, and a non-nil cache
+// memoises the coverage matrix across runs. The report is
+// byte-identical warm or cold. The audit skips RemovableOpsCtx's
+// evaluation of t itself: the matrix build has already shown that every
+// (instance, initial content, resolution) run of t mismatches, so only
+// t's self-consistency, which the build does not check, is left to
+// check.
+func AnalyzeCtx(ctx context.Context, t *march.Test, ev *sim.Evaluator, cache *memo.Cache) (*Report, error) {
+	m, err := BuildCtx(ctx, t, ev, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +325,7 @@ func AnalyzeCtx(ctx context.Context, t *march.Test, instances []fault.Instance, 
 			rep.RedundantReads = append(rep.RedundantReads, m.Rows[r])
 		}
 	}
-	removable, err := audit(ctx, t, instances, false)
+	removable, err := audit(ctx, t, ev, false)
 	if err != nil {
 		return nil, err
 	}
@@ -324,14 +334,18 @@ func AnalyzeCtx(ctx context.Context, t *march.Test, instances []fault.Instance, 
 	return rep, nil
 }
 
-// AnalyzeWorkers is AnalyzeCtx; the worker count is ignored. The audit
-// runs on its caller's goroutine: each trial removal is one evaluation
-// of a few kernel blocks, and no benchmark row showed the trials'
-// fan-out paying for itself. The parameter stays because callers
-// outside this module (the repository benchmark's layer replay) pass
-// it.
+// AnalyzeWorkers is AnalyzeCtx on an evaluator of instances that it
+// builds; the worker count is ignored. The audit runs on its caller's
+// goroutine: each trial removal is one evaluation of a few kernel
+// blocks, and no benchmark row showed the trials' fan-out paying for
+// itself. The parameter stays because callers outside this module (the
+// repository benchmark's layer replay) pass it.
 func AnalyzeWorkers(ctx context.Context, t *march.Test, instances []fault.Instance, _ int, cache *memo.Cache) (*Report, error) {
-	return AnalyzeCtx(ctx, t, instances, cache)
+	ev, err := sim.NewEvaluator(ctx, instances)
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeCtx(ctx, t, ev, cache)
 }
 
 // RemovableOps returns the flattened indices of operations whose
@@ -350,26 +364,21 @@ func RemovableOps(t *march.Test, instances []fault.Instance) ([]int, error) {
 // count in the metrics of the observability run attached to ctx, under
 // one verify/audit span rather than one span each (see obs.Quiet).
 func RemovableOpsCtx(ctx context.Context, t *march.Test, instances []fault.Instance) ([]int, error) {
-	return audit(ctx, t, instances, true)
-}
-
-// audit is the op-level redundancy audit. With evalBase set it first
-// evaluates t and fails unless t is complete; without, it only checks
-// that t is self-consistent, in the same place, so the caller must
-// already know t complete.
-func audit(ctx context.Context, t *march.Test, instances []fault.Instance, evalBase bool) ([]int, error) {
-	sp := obs.From(ctx).StartUnder("verify/audit")
-	defer sp.End()
-	ctx = obs.Quiet(ctx)
-	if !evalBase {
-		if err := sim.SelfConsistent(t); err != nil {
-			return nil, err
-		}
-	}
 	ev, err := sim.NewEvaluator(ctx, instances)
 	if err != nil {
 		return nil, err
 	}
+	return audit(ctx, t, ev, true)
+}
+
+// audit is the op-level redundancy audit on ev's fault list. With
+// evalBase set it first evaluates t and fails unless t is complete;
+// without, it only checks that t is self-consistent, in the same place,
+// so the caller must already know t complete.
+func audit(ctx context.Context, t *march.Test, ev *sim.Evaluator, evalBase bool) ([]int, error) {
+	sp := obs.From(ctx).StartUnder("verify/audit")
+	defer sp.End()
+	ctx = obs.Quiet(ctx)
 	if evalBase {
 		cov, err := ev.Evaluate(ctx, t)
 		if err != nil {
@@ -378,6 +387,8 @@ func audit(ctx context.Context, t *march.Test, instances []fault.Instance, evalB
 		if !cov.Complete() {
 			return nil, fmt.Errorf("cover: test %s misses %v", t, cov.Missed())
 		}
+	} else if err := sim.SelfConsistent(t); err != nil {
+		return nil, err
 	}
 	var removable []int
 	flat := 0

@@ -190,7 +190,7 @@ func TestRemovableOpsHonoursCancel(t *testing.T) {
 }
 
 // TestAuditErrorTexts pins the errors of incomplete, inconsistent and
-// malformed tests, texts and order. In AnalyzeCtx the matrix build's
+// malformed tests, texts and order. In Analyze the matrix build's
 // miss comes first, then the audit's self-consistency check, which
 // validates the test too; RemovableOps evaluates the test itself, so it
 // reports an inconsistent test before a miss, and a miss as a list.
@@ -231,8 +231,8 @@ func TestAuditErrorTexts(t *testing.T) {
 			t.Fatal(err)
 		}
 		insts := instances(t, c.faults)
-		if _, err := AnalyzeCtx(context.Background(), mt, insts, nil); err == nil || err.Error() != c.analyze {
-			t.Errorf("%s on %s: AnalyzeCtx error %v, want %q", c.test, c.faults, err, c.analyze)
+		if _, err := Analyze(mt, insts); err == nil || err.Error() != c.analyze {
+			t.Errorf("%s on %s: Analyze error %v, want %q", c.test, c.faults, err, c.analyze)
 		}
 		if _, err := RemovableOps(mt, insts); err == nil || err.Error() != c.removals {
 			t.Errorf("%s on %s: RemovableOps error %v, want %q", c.test, c.faults, err, c.removals)

@@ -89,7 +89,11 @@ func Table3Ctx(ctx context.Context) ([]Table3Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", spec.Faults, err)
 		}
-		rep, err := cover.AnalyzeCtx(ctx, res.Test, res.Instances, nil)
+		ev, err := sim.NewEvaluator(ctx, res.Instances)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", spec.Faults, err)
+		}
+		rep, err := cover.AnalyzeCtx(ctx, res.Test, ev, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", spec.Faults, err)
 		}

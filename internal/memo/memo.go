@@ -177,30 +177,6 @@ func (c *Cache) put(key string, val any, writeThrough bool) {
 	}
 }
 
-// Peek returns the value cached in memory under key without updating
-// the LRU order and — crucially — without consulting the disk tier.
-// It exists for the replica set's internal memo endpoint: a peer
-// answering "do you hold this key?" must look only at what it already
-// holds, or two cold replicas would fetch from each other forever.
-func (c *Cache) Peek(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*entry).val, true
-}
-
-// Adopt stores val under key without writing through to the disk tier —
-// the insertion path for values that arrived from elsewhere (a peer
-// replica's replication offer) and are already durable somewhere, so
-// re-persisting them here would echo them straight back out.
-func (c *Cache) Adopt(key string, val any) { c.put(key, val, false) }
-
 // Len reports the number of live entries.
 func (c *Cache) Len() int {
 	if c == nil {

@@ -54,7 +54,9 @@ type Run struct {
 	// and the serving layers snapshot on demand.
 	progress Progress
 
-	sink     sink
+	// discard makes the recorder count finished spans without keeping
+	// them: set on a run whose spans no trace output will read.
+	discard  bool
 	deferred deferredTrace
 
 	// observers are live span-completion callbacks (Notify): the async
@@ -64,9 +66,20 @@ type Run struct {
 	observers []func(Event)
 }
 
-// NewRun starts an observed run.
+// NewRun starts an observed run that keeps its finished spans, up to
+// the recorder's cap, for Events and the trace writers.
 func NewRun() *Run {
 	return &Run{t0: time.Now()}
+}
+
+// NewUntracedRun starts an observed run that keeps no finished span:
+// spans still count in obs.spans, parent their children and reach the
+// Notify observers, and metrics and progress are unchanged, but Events
+// returns nothing. A long-lived run that no trace output reads, such
+// as a server's, uses it so that its memory does not grow with the
+// requests it serves.
+func NewUntracedRun() *Run {
+	return &Run{t0: time.Now(), discard: true}
 }
 
 type ctxKey struct{}
@@ -96,9 +109,8 @@ type quietKey struct{}
 // Quiet returns ctx marked so that SpanUnder opens no span below it,
 // while the run's metrics and progress still count the work. A loop of
 // many short, uniform steps (the redundancy audit's trial evaluations)
-// runs under it behind one span of its own, because a long-lived run,
-// such as a server's, keeps every finished span in memory up to the
-// recorder's cap.
+// runs under it behind one span of its own, because a traced run keeps
+// every finished span in memory up to the recorder's cap.
 func Quiet(ctx context.Context) context.Context {
 	return context.WithValue(ctx, quietKey{}, true)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +30,6 @@ func TestNilSafety(t *testing.T) {
 	if got := r.Events(); got != nil {
 		t.Fatalf("nil run events = %v, want nil", got)
 	}
-	r.StreamTo(&bytes.Buffer{})
 	r.DeferTrace(&bytes.Buffer{})
 	if err := r.Flush(); err != nil {
 		t.Fatalf("nil run flush: %v", err)
@@ -213,8 +214,7 @@ func TestStagesWithoutRun(t *testing.T) {
 
 func TestStreamAndDeferredTrace(t *testing.T) {
 	r := NewRun()
-	var stream, deferred bytes.Buffer
-	r.StreamTo(&stream)
+	var deferred bytes.Buffer
 	r.DeferTrace(&deferred)
 	root := r.Start("a")
 	root.Child("a/b").End()
@@ -222,12 +222,11 @@ func TestStreamAndDeferredTrace(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Streamed lines arrive in end order (child first); the deferred
-	// dump is in seq order (parent first).
-	streamLines := strings.Split(strings.TrimSpace(stream.String()), "\n")
+	// The deferred dump is in seq order (parent first), although the
+	// child ended first.
 	defLines := strings.Split(strings.TrimSpace(deferred.String()), "\n")
-	if len(streamLines) != 2 || len(defLines) != 2 {
-		t.Fatalf("stream=%d deferred=%d lines, want 2 each", len(streamLines), len(defLines))
+	if len(defLines) != 2 {
+		t.Fatalf("deferred=%d lines, want 2", len(defLines))
 	}
 	var first Event
 	if err := json.Unmarshal([]byte(defLines[0]), &first); err != nil {
@@ -236,11 +235,51 @@ func TestStreamAndDeferredTrace(t *testing.T) {
 	if first.Name != "a" {
 		t.Fatalf("deferred first span = %q, want %q", first.Name, "a")
 	}
-	if err := json.Unmarshal([]byte(streamLines[0]), &first); err != nil {
-		t.Fatal(err)
+}
+
+// TestUntracedRunKeepsNoSpans pins span retention to trace output: an
+// untraced run, and the run Flags.Start makes without -trace or
+// -chrome-trace, counts its finished spans and hands them to its
+// observers but keeps none, while a traced run keeps them for the
+// trace.
+func TestUntracedRunKeepsNoSpans(t *testing.T) {
+	dir := t.TempDir()
+	started := func(f Flags) *Run {
+		t.Helper()
+		r, finish, err := f.Start(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(finish)
+		return r
 	}
-	if first.Name != "a/b" {
-		t.Fatalf("streamed first span = %q, want %q", first.Name, "a/b")
+	cases := []struct {
+		name string
+		run  *Run
+		kept int
+	}{
+		{"NewUntracedRun", NewUntracedRun(), 0},
+		{"-metrics", started(Flags{Metrics: true}), 0},
+		{"-progress", started(Flags{Progress: true}), 0},
+		{"-trace", started(Flags{Trace: filepath.Join(dir, "t.jsonl")}), 3},
+		{"-chrome-trace", started(Flags{Chrome: filepath.Join(dir, "c.json")}), 3},
+	}
+	for _, c := range cases {
+		observed := 0
+		c.run.Notify(func(Event) { observed++ })
+		root := c.run.Start("a")
+		root.Child("a/b").End()
+		root.Child("a/c").End()
+		root.End()
+		if n := len(c.run.Events()); n != c.kept {
+			t.Errorf("%s: %d spans kept, want %d", c.name, n, c.kept)
+		}
+		if n := c.run.Snapshot()["obs.spans"]; n != 3 {
+			t.Errorf("%s: obs.spans = %d, want 3", c.name, n)
+		}
+		if observed != 3 {
+			t.Errorf("%s: %d spans observed, want 3", c.name, observed)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ const spanShards = 16
 // counted as dropped instead of stored (the drop count surfaces in the
 // metrics snapshot as "obs.spans_dropped"). Generation runs over the
 // paper's fault lists stay around a few hundred spans; the cap exists
-// for pathological user fault lists on long-running servers.
+// for pathological user fault lists and for long-running servers that
+// write a trace (an untraced run stores no span; see NewUntracedRun).
 const maxSpans = 1 << 16
 
 // Event is one finished span as exported to the JSONL trace. Seq orders
@@ -54,7 +55,7 @@ type attr struct {
 
 // Span is one in-flight unit of observed work. Attributes are set by
 // the goroutine that owns the span; End is idempotent and publishes the
-// span to the recorder (and the streaming sink, when attached).
+// span to the recorder and the Notify observers.
 type Span struct {
 	run    *Run
 	name   string
@@ -140,23 +141,29 @@ func (s *Span) End() {
 	s.run.record(ev)
 }
 
+// record counts a finished span, keeps it unless the run discards
+// spans, and hands it to the observers. Past maxSpans a kept run drops
+// the span instead, observers included.
 func (r *Run) record(ev Event) {
-	if r.rec.count.Load() >= maxSpans {
+	switch {
+	case r.discard:
+		r.rec.count.Add(1)
+	case r.rec.count.Load() >= maxSpans:
 		r.rec.dropped.Add(1)
 		return
+	default:
+		r.rec.count.Add(1)
+		sh := &r.rec.shards[ev.Seq%spanShards]
+		sh.mu.Lock()
+		sh.events = append(sh.events, ev)
+		sh.mu.Unlock()
 	}
-	r.rec.count.Add(1)
-	sh := &r.rec.shards[ev.Seq%spanShards]
-	sh.mu.Lock()
-	sh.events = append(sh.events, ev)
-	sh.mu.Unlock()
-	r.sink.write(ev)
 	r.notify(ev)
 }
 
 // Events returns every finished span in sequence order. The sequence is
 // creation order: exact program order for a single-worker run, a stable
-// per-worker interleaving otherwise.
+// per-worker interleaving otherwise. An untraced run returns none.
 func (r *Run) Events() []Event {
 	if r == nil {
 		return nil

@@ -7,49 +7,16 @@ import (
 	"sync"
 )
 
-// sink optionally streams finished spans to a writer as they end, one
-// JSON object per line. The zero value is detached (every write is a
-// cheap nil check); StreamTo attaches a writer.
-type sink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	buf *bufio.Writer
-}
-
-func (s *sink) write(ev Event) {
-	s.mu.Lock()
-	if s.enc != nil {
-		_ = s.enc.Encode(ev) // best-effort: a broken sink must not fail the run
-	}
-	s.mu.Unlock()
-}
-
-// deferredTrace remembers a writer to dump the full trace to when the
-// run finishes (Flush), for callers that want a complete, seq-ordered
-// file rather than end-order streaming.
+// deferredTrace remembers a writer to dump the full, seq-ordered trace
+// to when the run finishes (Flush).
 type deferredTrace struct {
 	mu sync.Mutex
 	w  io.Writer
 }
 
-// StreamTo attaches w as a streaming sink: every span is encoded as one
-// JSONL line the moment it ends, in end order. Encoding errors are
-// swallowed — tracing must never fail the run.
-func (r *Run) StreamTo(w io.Writer) {
-	if r == nil || w == nil {
-		return
-	}
-	bw := bufio.NewWriter(w)
-	r.sink.mu.Lock()
-	r.sink.buf = bw
-	r.sink.enc = json.NewEncoder(bw)
-	r.sink.mu.Unlock()
-}
-
 // DeferTrace arranges for the full trace to be written to w, in
-// sequence order, when Flush is called. Unlike StreamTo the output is
-// deterministic in line order (sequence numbers, not span end times,
-// decide it).
+// sequence order, when Flush is called. The output is deterministic in
+// line order: sequence numbers, not span end times, decide it.
 func (r *Run) DeferTrace(w io.Writer) {
 	if r == nil || w == nil {
 		return
@@ -59,30 +26,21 @@ func (r *Run) DeferTrace(w io.Writer) {
 	r.deferred.mu.Unlock()
 }
 
-// Flush drains the sinks: the streaming sink's buffer is flushed, and a
-// deferred trace writer (if any) receives the complete seq-ordered
-// JSONL dump. Returns the first write error, for callers that care
+// Flush writes the complete seq-ordered JSONL dump to the deferred
+// trace writer, if any. Returns the write error, for callers that care
 // (the CLIs report it; the library path ignores it).
 func (r *Run) Flush() error {
 	if r == nil {
 		return nil
 	}
-	var first error
-	r.sink.mu.Lock()
-	if r.sink.buf != nil {
-		first = r.sink.buf.Flush()
-	}
-	r.sink.mu.Unlock()
 	r.deferred.mu.Lock()
 	w := r.deferred.w
 	r.deferred.w = nil
 	r.deferred.mu.Unlock()
-	if w != nil {
-		if err := WriteJSONL(w, r.Events()); err != nil && first == nil {
-			first = err
-		}
+	if w == nil {
+		return nil
 	}
-	return first
+	return WriteJSONL(w, r.Events())
 }
 
 // WriteJSONL encodes events one JSON object per line. Map keys inside

@@ -8,7 +8,6 @@ import (
 
 	"marchgen"
 	"marchgen/fault"
-	"marchgen/internal/cluster"
 	"marchgen/internal/memo"
 	"marchgen/internal/obs"
 )
@@ -37,16 +36,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// The body is read raw before decoding so a replica can relay it
-	// verbatim when the key's ring owner is another replica.
-	body, err := readBody(r)
-	if err != nil {
-		sp.SetStr("outcome", "bad_request")
-		writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
 	var req GenerateRequest
-	if err := decodeBytes(body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		sp.SetStr("outcome", "bad_request")
 		writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -79,22 +70,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	instances := fault.Instances(models)
 	key := generateKey(fault.Key(instances), &req)
 	sp.SetStr("faults", req.Faults)
-
-	// Forward-or-serve: in a replica set, route the request to the key's
-	// ring owner so identical requests share one replica's coalescer and
-	// memo warmth. The forward header breaks relay loops; a transport
-	// failure falls through to serving locally.
-	if s.cluster != nil {
-		if owner := s.cluster.Owner(key); owner != s.cluster.Self() &&
-			r.Header.Get(cluster.ForwardHeader) == "" {
-			sp.SetStr("owner", owner)
-			if s.forwardGenerate(w, r, owner, id, body) {
-				sp.SetStr("outcome", "forwarded")
-				return
-			}
-		}
-		w.Header().Set(cluster.ServedByHeader, s.cluster.Self())
-	}
 
 	c, coalesced := s.group.join(key, func() (context.Context, context.CancelFunc) {
 		ctx, cancel := context.WithCancel(s.baseContext())

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -200,28 +199,6 @@ func writeErrorNoReq(w http.ResponseWriter, status int, code, msg string) {
 // client errors, bodies are size-bounded).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	return nil
-}
-
-// readBody drains a size-bounded request body; handlers that may
-// forward the request to a peer read raw bytes first and decode with
-// decodeBytes, so the body can be relayed verbatim.
-func readBody(r *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, fmt.Errorf("unreadable request body: %w", err)
-	}
-	return data, nil
-}
-
-// decodeBytes is decodeBody over already-read bytes, with the same
-// strictness.
-func decodeBytes(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)

@@ -21,11 +21,7 @@
 //     obs.Run, and /metrics, /healthz and /readyz expose the snapshot;
 //   - graceful drain: BeginDrain flips /readyz, sheds new work and lets
 //     the in-flight window finish (Drain waits for it), which is what
-//     cmd/marchserve wires to SIGTERM;
-//   - replica sets: with Config.Peers, N servers form a consistent-hash
-//     replica set — generate requests route to their key's ring owner,
-//     and memo warmth anywhere becomes warmth everywhere through a
-//     peer-fetch tier (cluster.go, internal/cluster).
+//     cmd/marchserve wires to SIGTERM.
 //
 // The package is stdlib-only, like everything else in the module. See
 // docs/api.md for the wire schemas and cmd/marchserve for the binary.
@@ -44,7 +40,6 @@ import (
 	"time"
 
 	"marchgen"
-	"marchgen/internal/cluster"
 	"marchgen/internal/core"
 	"marchgen/internal/jobs"
 	"marchgen/internal/memo"
@@ -82,7 +77,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// Obs, when non-nil, is the server-lifetime observability run that
 	// collects request spans and aggregated engine metrics. New creates
-	// one when nil; cmd/marchserve passes the run bound to its -trace /
+	// an untraced one (obs.NewUntracedRun) when nil: spans are counted,
+	// not kept. cmd/marchserve passes the run bound to its -trace /
 	// -metrics flags so a drained server leaves a complete trace behind.
 	Obs *obs.Run
 	// Store, when non-nil, enables the async job API (/v1/jobs): job
@@ -91,18 +87,6 @@ type Config struct {
 	// restarts), and New re-adopts any job a previous process left
 	// unfinished. Nil disables the job endpoints with 503 jobs_disabled.
 	Store *store.Store
-	// Self is this replica's own advertised host:port address, required
-	// when Peers is set (it anchors this replica's position on the
-	// consistent-hash ring and is echoed in X-March-Served-By).
-	Self string
-	// Peers lists every replica address in the set, Self included (it is
-	// added if missing). With at least one address besides Self, the
-	// server joins the replica set: /v1/generate requests forward to the
-	// ring owner of their key, and the shared memo cache gains a
-	// peer-fetch tier (layered over the Store tier when both are set).
-	// Empty: single-node mode, all cluster endpoints answer 503
-	// cluster_disabled.
-	Peers []string
 }
 
 // DefaultConfig returns the production defaults described on Config.
@@ -143,13 +127,6 @@ type Server struct {
 	jobs      *jobs.Manager
 	recovered int
 
-	// cluster/peerClient are the replica-set tier, nil without
-	// Config.Peers (see cluster.go). The peer client carries no client
-	// timeout: forwarded generates run as long as the owner allows, and
-	// every peer call is already bound by its request context.
-	cluster    *cluster.Cluster
-	peerClient *http.Client
-
 	// testLeaderGate, when non-nil, blocks every coalescing leader that
 	// holds its engine permit until the channel is closed — a test-only
 	// seam that lets the coalescing tests deterministically pile joiners
@@ -176,7 +153,7 @@ func New(cfg Config) *Server {
 		cfg.RetryAfter = def.RetryAfter
 	}
 	if cfg.Obs == nil {
-		cfg.Obs = obs.NewRun()
+		cfg.Obs = obs.NewUntracedRun()
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -210,8 +187,6 @@ func New(cfg Config) *Server {
 			s.run.Counter("serve.jobs.recovered").Add(int64(n))
 		}
 	}
-	s.peerClient = &http.Client{}
-	s.initCluster()
 	return s
 }
 
@@ -235,8 +210,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_submit", s.handleJobSubmit))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs_get", s.handleJobGet))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("jobs_events", s.handleJobEvents))
-	mux.HandleFunc("GET "+cluster.MemoPathPrefix+"{key}", s.handleMemoGet)
-	mux.HandleFunc("POST "+cluster.MemoPathPrefix+"{key}", s.handleMemoPut)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -289,9 +262,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-	if s.cluster != nil {
-		s.cluster.Close()
 	}
 	if s.jobs != nil {
 		return s.jobs.Close(ctx)
@@ -404,9 +374,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		extra["serve.draining"] = 1
-	}
-	if s.cluster != nil {
-		extra["serve.cluster.peers"] = int64(len(s.cluster.Members()))
 	}
 	ci := marchgen.CacheSnapshot()
 	extra["memo.shared.hits"] = int64(ci.Hits)

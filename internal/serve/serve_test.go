@@ -15,6 +15,9 @@ import (
 	"time"
 
 	"marchgen"
+	"marchgen/fault"
+	"marchgen/internal/core"
+	"marchgen/internal/memo"
 	"marchgen/march"
 )
 
@@ -81,28 +84,51 @@ func waitMetric(t *testing.T, s *Server, name string, want int64) {
 
 func TestGenerateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	var got GenerateResponse
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Complexity != 4 {
-		t.Fatalf("SAF generated %dn, want 4n: %s", got.Complexity, got.Test)
-	}
-	if got.Test == "" || got.ASCII == "" || got.RequestID == "" {
-		t.Fatalf("incomplete response: %s", raw)
-	}
-	// The wire test must parse back and verify complete, like the CLI path.
-	parsed, err := march.Parse(got.Test)
-	if err != nil {
-		t.Fatalf("served test does not parse: %v", err)
-	}
-	rep, err := marchgen.Verify(parsed, "SAF")
-	if err != nil || !rep.Complete {
-		t.Fatalf("served test does not verify complete: %v", err)
+	for _, c := range []struct {
+		faults     string
+		complexity int
+	}{
+		{"SAF", 4},
+		// A multi-selection list: the served bytes must be the test a
+		// single in-process run produces.
+		{"SAF,TF,ADF,CFin", 6},
+	} {
+		models, err := fault.ParseList(c.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Cache = memo.New(0) // isolated: no help from the server's shared cache
+		want, err := core.GenerateCtx(context.Background(), models, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: c.faults})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.faults, resp.StatusCode, raw)
+		}
+		var got GenerateResponse
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Complexity != c.complexity {
+			t.Fatalf("%s generated %dn, want %dn: %s", c.faults, got.Complexity, c.complexity, got.Test)
+		}
+		if got.Test != want.Test.String() || got.ASCII != want.Test.ASCII() {
+			t.Fatalf("%s: served %q, single process %q", c.faults, got.Test, want.Test)
+		}
+		if got.Test == "" || got.ASCII == "" || got.RequestID == "" {
+			t.Fatalf("%s: incomplete response: %s", c.faults, raw)
+		}
+		// The wire test must parse back and verify complete, like the CLI path.
+		parsed, err := march.Parse(got.Test)
+		if err != nil {
+			t.Fatalf("%s: served test does not parse: %v", c.faults, err)
+		}
+		rep, err := marchgen.Verify(parsed, c.faults)
+		if err != nil || !rep.Complete {
+			t.Fatalf("%s: served test does not verify complete: %v", c.faults, err)
+		}
 	}
 }
 

@@ -9,10 +9,12 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"marchgen"
 	"marchgen/internal/jobs"
+	"marchgen/internal/obs"
 )
 
 // promNameRe is the Prometheus metric-name charset (text format 0.0.4).
@@ -183,6 +185,34 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		if _, ok := snap[key]; !ok {
 			t.Fatalf("JSON snapshot missing %s", key)
 		}
+	}
+}
+
+// TestUntracedServerKeepsNoSpans pins span retention on a server built
+// without a trace output: after a run of generates its observability
+// run keeps no finished span, while obs.spans still counts every span
+// the requests and their engine runs finished.
+func TestUntracedServerKeepsNoSpans(t *testing.T) {
+	marchgen.ResetCache()
+	s, ts := newTestServer(t, Config{})
+	var observed atomic.Int64
+	s.Run().Notify(func(obs.Event) { observed.Add(1) })
+	const n = 20
+	lists := []string{"SAF", "SAF,TF", "SAF,TF,ADF"}
+	for i := 0; i < n; i++ {
+		if resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: lists[i%len(lists)]}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("generate %d: %d %s", i, resp.StatusCode, raw)
+		}
+	}
+	if evs := s.Run().Events(); len(evs) != 0 {
+		t.Errorf("untraced server kept %d spans, want 0", len(evs))
+	}
+	snap := s.Run().Snapshot()
+	if got, want := snap["obs.spans"], observed.Load(); got != want || got < n {
+		t.Errorf("obs.spans = %d, want the %d spans finished (at least one per request, %d)", got, want, n)
+	}
+	if d := snap["obs.spans_dropped"]; d != 0 {
+		t.Errorf("obs.spans_dropped = %d, want 0", d)
 	}
 }
 

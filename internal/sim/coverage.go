@@ -214,13 +214,21 @@ func RunsEngine(t *march.Test, inst fault.Instance, engine Engine) ([]Run, error
 
 // RunsBatch computes Runs for every instance of a fault list at once,
 // returning the per-instance run lists in instance order, on the
-// caller's goroutine. On the kernel engine the whole batch shares the
-// lowered traces and the compiled blocks, so the marginal cost per
-// instance is a few bit operations per trace position. It neither
-// validates the test nor checks its self-consistency. Results are
-// byte-identical across engines; a kernel batch whose blocks fail to
-// compile returns that error.
+// caller's goroutine. On the kernel engine it is NewEvaluator plus
+// Evaluator.Runs: the whole batch shares the lowered traces and the
+// compiled blocks, so the marginal cost per instance is a few bit
+// operations per trace position. It neither validates the test nor
+// checks its self-consistency. Results are byte-identical across
+// engines; a kernel batch whose blocks fail to compile returns that
+// error.
 func RunsBatch(ctx context.Context, t *march.Test, instances []fault.Instance, engine Engine) ([][]Run, error) {
+	if engine == Kernel {
+		ev, err := NewEvaluator(ctx, instances)
+		if err != nil {
+			return nil, err
+		}
+		return ev.Runs(ctx, t)
+	}
 	resolutions, err := Resolutions(t)
 	if err != nil {
 		return nil, err
@@ -228,25 +236,14 @@ func RunsBatch(ctx context.Context, t *march.Test, instances []fault.Instance, e
 	if len(instances) == 0 {
 		return nil, nil
 	}
-	if engine == Scalar {
-		out := make([][]Run, len(instances))
-		for i, inst := range instances {
-			if err := budget.CtxErr(ctx); err != nil {
-				return nil, err
-			}
-			out[i] = runsScalar(t, inst, resolutions)
+	out := make([][]Run, len(instances))
+	for i, inst := range instances {
+		if err := budget.CtxErr(ctx); err != nil {
+			return nil, err
 		}
-		return out, nil
+		out[i] = runsScalar(t, inst, resolutions)
 	}
-	blocks, hits, compiles, err := simd.CompiledBlocks(instances)
-	if err != nil {
-		return nil, fmt.Errorf("sim: kernel blocks: %w", err)
-	}
-	lw, _ := lower(t, resolutions, false) // only the check can fail
-	run := obs.From(ctx)
-	observeBlocks(run, hits, compiles)
-	observeKernel(run, len(blocks), len(lw.traces), len(instances))
-	return runsKernel(ctx, lw, blocks)
+	return out, nil
 }
 
 // runsScalar is the reference implementation of Runs: one closure-dispatch

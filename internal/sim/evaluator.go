@@ -40,6 +40,9 @@ func NewEvaluator(ctx context.Context, instances []fault.Instance) (*Evaluator, 
 	return ev, nil
 }
 
+// Instances returns the fault list the evaluator was built for.
+func (ev *Evaluator) Instances() []fault.Instance { return ev.instances }
+
 // Evaluate is EvaluateCtx on the evaluator's fault list. The test is
 // lowered into kernel form once, and the lowering's expected outputs
 // give the self-consistency check, so a test SelfConsistent rejects
@@ -59,6 +62,23 @@ func (ev *Evaluator) evaluate(ctx context.Context, t *march.Test, run *obs.Run) 
 	}
 	observeKernel(run, len(ev.blocks), len(lw.traces), len(ev.instances))
 	return evaluateKernel(ctx, t, ev.instances, lw, ev.blocks)
+}
+
+// Runs is RunsBatch on the evaluator's fault list and kernel blocks:
+// the per-run mismatch attribution of every (instance, initial content,
+// ⇕ resolution) triple, per instance in list order. Like RunsBatch it
+// neither validates t nor checks its self-consistency.
+func (ev *Evaluator) Runs(ctx context.Context, t *march.Test) ([][]Run, error) {
+	resolutions, err := Resolutions(t)
+	if err != nil {
+		return nil, err
+	}
+	if len(ev.instances) == 0 {
+		return nil, nil
+	}
+	lw, _ := lower(t, resolutions, false) // only the check can fail
+	observeKernel(obs.From(ctx), len(ev.blocks), len(lw.traces), len(ev.instances))
+	return runsKernel(ctx, lw, ev.blocks)
 }
 
 // observeEvaluate runs one evaluation, on ev's kernel blocks or, when ev

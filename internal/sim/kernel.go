@@ -220,8 +220,8 @@ func evaluateKernel(ctx context.Context, t *march.Test, instances []fault.Instan
 	return cov, nil
 }
 
-// runsKernel is the bit-parallel implementation behind RunsBatch: the
-// per-run mismatch attribution of every (instance, initial content,
+// runsKernel is the bit-parallel implementation behind Evaluator.Runs:
+// the per-run mismatch attribution of every (instance, initial content,
 // ⇕ resolution) triple, computed one block-trace pass at a time.
 func runsKernel(ctx context.Context, lw lowering, blocks []*simd.Block) ([][]Run, error) {
 	numOps, traces := lw.numOps, lw.traces

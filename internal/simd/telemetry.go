@@ -6,8 +6,8 @@ import "sync/atomic"
 // process-wide (a block compiled by any run serves every run), so the
 // matching throughput counters live at the same scope: one atomic add
 // per RunTrace call — never per word — keeps them off the hot loop.
-// The serving layer exposes them on /metrics so replica capacity
-// planning can compare kernel throughput across processes.
+// The serving layer exposes them on /metrics so capacity planning can
+// compare kernel throughput across processes.
 var (
 	// laneSteps counts simulated lane-steps: one unit is one
 	// (instance × initial content) lane advanced one trace position.

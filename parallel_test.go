@@ -164,6 +164,35 @@ func TestGenerateOneEvaluator(t *testing.T) {
 	}
 }
 
+// TestVerifyOneEvaluator pins that a verification looks its fault
+// list's kernel blocks up once: its evaluation, the coverage matrix
+// build and the redundancy audit share one evaluator, so verifying
+// March C- against the two blocks of SAF,TF,ADF,CFin,CFid records two
+// block lookups, cold or with the matrix memoised, next to the 10
+// evaluations of TestVerifyOnCallerGoroutine.
+func TestVerifyOneEvaluator(t *testing.T) {
+	defer ResetCache()
+	ResetCache()
+	kt, _ := march.Known("MarchC-")
+	for _, pass := range []string{"cold", "warm"} {
+		run := obs.NewRun()
+		rep, err := VerifyCtx(obs.Into(context.Background(), run), kt.Test, "SAF,TF,ADF,CFin,CFid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Complete || !rep.NonRedundant {
+			t.Fatalf("%s: March C- complete=%v non-redundant=%v, want both", pass, rep.Complete, rep.NonRedundant)
+		}
+		snap := run.Snapshot()
+		if n := snap[obs.CounterKernelBlockHits] + snap[obs.CounterKernelBlockCompiles]; n != 2 {
+			t.Errorf("%s: %d block lookups, want 2 (one per block)", pass, n)
+		}
+		if n := snap["sim.evaluations"]; n != 10 {
+			t.Errorf("%s: %d evaluations, want 10", pass, n)
+		}
+	}
+}
+
 // TestCacheWarmHitIsIdentical checks the memo-cache contract: the second
 // generation of the same fault list is served from the cache
 // (Stats.FromCache), is byte-identical to the cold run, and does not alias

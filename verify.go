@@ -97,9 +97,10 @@ func VerifyModels(t *march.Test, models []fault.Model) (*CoverageReport, error) 
 
 // VerifyModelsCtx is VerifyModels under a cancellation context; see
 // VerifyCtx. The simulation, the coverage matrix and the redundancy
-// audit run on the calling goroutine, and the coverage matrix is
-// memoised in the process-wide cache across calls; the report is
-// byte-identical warm or cold.
+// audit run on the calling goroutine, on one sim.Evaluator, so the
+// fault list's kernel blocks are looked up once per verification, and
+// the coverage matrix is memoised in the process-wide cache across
+// calls; the report is byte-identical warm or cold.
 func VerifyModelsCtx(ctx context.Context, t *march.Test, models []fault.Model) (*CoverageReport, error) {
 	if t == nil {
 		return nil, fmt.Errorf("marchgen: nil test")
@@ -125,7 +126,7 @@ func VerifyModelsCtx(ctx context.Context, t *march.Test, models []fault.Model) (
 	if !rep.Complete {
 		return rep, nil
 	}
-	analysis, err := cover.AnalyzeCtx(ctx, t, instances, memo.Shared())
+	analysis, err := cover.AnalyzeCtx(ctx, t, ev, memo.Shared())
 	if err != nil {
 		return nil, err
 	}
