@@ -21,7 +21,8 @@
 // GET /v1/jobs/{id}, GET /v1/jobs/{id}/events): results are committed to
 // a crash-safe content-addressed store under DIR, repeated submissions
 // are cache hits, and a restarted server re-adopts incomplete jobs and
-// resumes them from their last checkpoint.
+// re-runs them from their first stage. The store holds job records and
+// results only; the engine's memo cache stays in process memory.
 //
 // SIGINT/SIGTERM drain gracefully: /readyz flips to 503, new requests are
 // shed, in-flight requests finish (bounded by -drain-timeout), running

@@ -112,10 +112,6 @@ type CacheInfo struct {
 	Hits, Misses uint64
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64
-	// DiskHits counts memory misses served by an attached durable tier
-	// (the job subsystem's persisted memo entries); every disk hit is also
-	// counted in Misses.
-	DiskHits uint64
 	// Entries is the current number of cached entries.
 	Entries int
 }
@@ -124,7 +120,7 @@ type CacheInfo struct {
 // (one lock acquisition), including evictions and the live entry count.
 func CacheSnapshot() CacheInfo {
 	s := memo.Shared().Snapshot()
-	return CacheInfo{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, DiskHits: s.DiskHits, Entries: s.Entries}
+	return CacheInfo{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
 }
 
 // Stats reports the pipeline effort behind a generated test.

@@ -419,17 +419,6 @@ type cachedResult struct {
 }
 
 func (c *cachedResult) result(start time.Time, instances []fault.Instance) *Result {
-	cov := c.coverage.Clone()
-	// Rehydrate the per-row instances positionally: a result decoded from
-	// the persist layer travels with thin rows (verdict + detecting ops
-	// only), and the simulator emits rows in instance order, so row i is
-	// instance i. For memory-resident entries this overwrites each row
-	// with an identical value.
-	if len(cov.Results) == len(instances) {
-		for i := range cov.Results {
-			cov.Results[i].Instance = instances[i]
-		}
-	}
 	return &Result{
 		Test:             c.test.Clone(),
 		Complexity:       c.complexity,
@@ -444,7 +433,7 @@ func (c *cachedResult) result(start time.Time, instances []fault.Instance) *Resu
 		FromCache:        true,
 		StageElapsed:     map[string]time.Duration{},
 		Elapsed:          time.Since(start),
-		Coverage:         cov,
+		Coverage:         c.coverage.Clone(),
 	}
 }
 
@@ -515,21 +504,6 @@ type tourFragment struct {
 	cost  int
 }
 
-// answers reports whether the fragment can answer the solve of g under
-// the start costs starts: it holds at least one path, and every path is
-// a permutation of the TPG's nodes whose visit cost is the fragment's
-// cost. Fragments cross process boundaries through the durable store,
-// so a well-formed but wrong one must read as a miss, not index past
-// the node list.
-func (f *tourFragment) answers(g *tpg.Graph, starts []int) bool {
-	for _, p := range f.paths {
-		if !validFragmentPath(p, len(starts)) || visitCost(g, starts, p) != f.cost {
-			return false
-		}
-	}
-	return len(f.paths) > 0
-}
-
 // nodeSignature fingerprints a reduced TPG node set: selections reducing
 // to the same patterns are interchangeable for everything downstream. It
 // concatenates the patterns' self-delimiting keys (fsm.Pattern.AppendKey)
@@ -570,30 +544,6 @@ func warmFromPrev(g *tpg.Graph, nodes []tpg.Node, starts []int, prev []fsm.Patte
 	return atsp.CompletePath(atsp.Matrix(g.Weight), starts, partial)
 }
 
-// validFragmentPath reports whether a cached path is a permutation of the
-// n TPG nodes — the only shape safe to map back onto patterns. Fragments
-// cross process (and version) boundaries, so shape is checked here even
-// though the codec already rejects torn envelopes.
-func validFragmentPath(p []int, n int) bool {
-	if len(p) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, v := range p {
-		if v < 0 || v >= n || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
-// visitCost is the full visit objective of a path: start cost of its
-// first node plus the path's arc costs.
-func visitCost(g *tpg.Graph, starts []int, p []int) int {
-	return starts[p[0]] + atsp.Matrix(g.Weight).PathCost(p)
-}
-
 // orderConfig tunes one orderPatterns call.
 type orderConfig struct {
 	// exact requests the exact solve (false: layered heuristics).
@@ -612,11 +562,11 @@ type orderConfig struct {
 // path automatically and degrade("atsp") records the downgrade. The exact
 // solve runs on the calling goroutine, warm-started from cfg.warm, and,
 // with a non-nil cache, is memoised under the weight-matrix fingerprint:
-// a cached tour fragment that answers the instance replaces the solve,
-// and one that does not is re-solved and overwritten. The third result
-// reports whether the returned cost is an exact optimum (false after a
-// heuristic downgrade). Whatever the config, the returned orderings and
-// cost are byte-identical — only solver effort varies.
+// a cached tour fragment, the solve this process made under that key,
+// replaces the solve. The third result reports whether the returned cost
+// is an exact optimum (false after a heuristic downgrade). Whatever the
+// config, the returned orderings and cost are byte-identical — only
+// solver effort varies.
 func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *memo.Cache, degrade func(string)) ([][]fsm.Pattern, int, bool, error) {
 	g := tpg.New(nodes)
 	if len(nodes) == 1 {
@@ -641,10 +591,9 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 			f.Ints(starts)
 			key = f.Key()
 			if v, ok := cache.Get(key); ok {
-				if frag := v.(*tourFragment); frag.answers(g, starts) {
-					obs.From(m.Context()).Counter("memo.tour_hits").Inc()
-					paths, cost, exactCost = frag.paths, frag.cost, true
-				}
+				frag := v.(*tourFragment)
+				obs.From(m.Context()).Counter("memo.tour_hits").Inc()
+				paths, cost, exactCost = frag.paths, frag.cost, true
 			}
 		}
 		if paths == nil {

@@ -6,15 +6,14 @@
 //
 // The lifecycle is submitted → running → checkpointed → done | failed.
 // "Checkpointed" is the crash-safety state: while a job runs, every
-// pipeline-stage completion persists the record (throttled), and the
-// engine's expensive intermediate artifacts flow to disk through the memo
-// cache's durable tier (memo.AttachDisk + the internal/core codec). A
-// process killed at any point therefore leaves either a terminal record,
-// or a non-terminal one plus the memo entries of the work already done;
-// Recover re-adopts such orphans on the next start, and — because the
-// engine is deterministic and memo values are pure functions of their
-// content-hash keys — the resumed run skips the finished sub-problems and
-// produces a byte-identical result.
+// pipeline-stage completion persists the record (throttled). A process
+// killed at any point therefore leaves either a terminal record or a
+// non-terminal one; Recover re-adopts such orphans on the next start and
+// re-runs them from their first stage. The engine is deterministic, so
+// the resumed run commits a byte-identical result. The store holds job
+// records and results only: the engine's memo cache lives in process
+// memory, and a resumed job recomputes what the killed process had
+// solved.
 //
 // Error classification follows budget.IsTerminal: only cancellation
 // (shutdown, client abort) is resumable; every other failure becomes a
@@ -27,13 +26,11 @@ import (
 	"time"
 )
 
-// Store namespaces used by the job layer. NSMemo holds the engine's
-// persisted memo entries (tour fragments, verdicts) and is written by the
-// memo disk tier rather than by this package directly.
+// Store namespaces used by the job layer: NSJobs holds job records and
+// NSResults the committed result documents.
 const (
 	NSJobs    = "jobs"
 	NSResults = "results"
-	NSMemo    = "memo"
 )
 
 // State is a job lifecycle state.

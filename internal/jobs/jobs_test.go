@@ -15,7 +15,6 @@ import (
 	"marchgen"
 	"marchgen/internal/budget"
 	"marchgen/internal/chaos"
-	"marchgen/internal/core"
 	"marchgen/internal/jobs"
 	"marchgen/internal/memo"
 	"marchgen/internal/obs"
@@ -220,10 +219,10 @@ func TestResubmitAcrossRestartIsCacheHit(t *testing.T) {
 	}
 }
 
-// TestCrashResumeByteIdentical is the tentpole assertion: a job whose
+// TestCrashResumeByteIdentical is the crash-safety assertion: a job whose
 // process dies mid-run (after a durable checkpoint) is re-adopted by the
-// next process and completes byte-identically to an uninterrupted run,
-// with the persisted memo tier supplying the already-solved sub-problems.
+// next process, re-runs from its first stage and completes
+// byte-identically to an uninterrupted run.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	const faults = "SAF,TF,CFin"
 	key := testKey(faults)
@@ -243,11 +242,11 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 	marchgen.ResetCache()
 
-	// Crash run: a second store with the durable memo tier attached. The
-	// executor cancels its context as soon as the first pipeline stage
-	// completes — after the manager's checkpoint observer persisted the
-	// record (observers run in registration order), exactly the window a
-	// kill -9 between checkpoints hits.
+	// Crash run: a second store. The executor cancels its context as soon
+	// as the first pipeline stage completes — after the manager's
+	// checkpoint observer persisted the record (observers run in
+	// registration order), exactly the window a kill -9 between
+	// checkpoints hits.
 	dir := t.TempDir()
 	var crashCalls atomic.Int64
 	crashExec := func(ctx context.Context, kind string, request json.RawMessage, run *obs.Run) ([]byte, error) {
@@ -271,11 +270,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		return json.Marshal(map[string]any{"test": res.Test.String(), "complexity": res.Complexity})
 	}
 	mCrash, st := newManager(t, dir, crashExec)
-	memo.Shared().AttachDisk(jobs.MemoTier(st), core.Codec())
-	defer func() {
-		memo.Shared().DetachDisk()
-		marchgen.ResetCache()
-	}()
+	defer marchgen.ResetCache()
 
 	if _, _, err := mCrash.Submit("generate", key, req); err != nil {
 		t.Fatal(err)
@@ -305,8 +300,8 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if crashCalls.Load() != 1 {
 		t.Fatalf("crash executor ran %d times, want 1", crashCalls.Load())
 	}
-	// Drop the in-memory cache: the resume must rebuild from the durable
-	// tier, as a genuinely new process would.
+	// Drop the in-memory cache: the resume starts from the durable record
+	// alone, as a genuinely new process would.
 	marchgen.ResetCache()
 
 	// Recovery process over the same store.

@@ -31,7 +31,7 @@ type Executor func(ctx context.Context, kind string, request json.RawMessage, ru
 
 // Config configures a Manager. Store and Exec are required.
 type Config struct {
-	// Store is the durable backing for records, results and memo entries.
+	// Store is the durable backing for job records and results.
 	Store *store.Store
 	// Exec runs each submitted job.
 	Exec Executor
@@ -209,8 +209,8 @@ func (m *Manager) Get(id string) (*Job, bool) {
 
 // Recover scans the store for jobs a previous process left non-terminal
 // and re-adopts them: jobs whose result is already durable complete
-// immediately, the rest re-execute from their persisted checkpoints (the
-// memo tier supplies the finished sub-problems). Returns the number of
+// immediately, the rest re-execute from their first stage (the engine is
+// deterministic, so the result is byte-identical). Returns the number of
 // jobs resumed. Call once, after NewManager and before serving traffic.
 func (m *Manager) Recover() (int, error) {
 	ids, err := m.cfg.Store.List(NSJobs)

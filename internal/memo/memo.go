@@ -27,43 +27,16 @@ import (
 // so a few thousand of them stay well under typical server memory budgets.
 const DefaultCapacity = 4096
 
-// DiskTier is a durable second level underneath the in-memory LRU: a
-// miss falls through to it and a hit is promoted back into memory, so
-// entries survive both LRU eviction and process restarts. Implementations
-// must be safe for concurrent use; internal/store's namespaces are the
-// canonical one. Errors are absorbed as misses — durability is an
-// optimisation here, never a correctness dependency.
-type DiskTier interface {
-	// Get returns the bytes committed under key, or false.
-	Get(key string) ([]byte, bool)
-	// Put durably commits data under key (best-effort).
-	Put(key string, data []byte)
-}
-
-// Codec translates cache values to and from persistent bytes for a
-// DiskTier. Encode reports false for value kinds that are not
-// persistable (those simply stay memory-only); Decode reports false for
-// bytes it does not recognise (treated as a miss). internal/core
-// provides the codec covering the engine's tour fragments and verdicts.
-type Codec interface {
-	Encode(val any) ([]byte, bool)
-	Decode(data []byte) (any, bool)
-}
-
 // Cache is a bounded, concurrency-safe, least-recently-used map from
-// fingerprint keys to immutable values, with an optional durable second
-// tier (AttachDisk). The zero value is not usable; use New or the
-// process-wide Shared cache.
+// fingerprint keys to immutable values. It lives in process memory only.
+// The zero value is not usable; use New or the process-wide Shared cache.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used; values are *entry
 	entries map[string]*list.Element
 
-	disk  DiskTier
-	codec Codec
-
-	hits, misses, evictions, diskHits uint64
+	hits, misses, evictions uint64
 }
 
 type entry struct {
@@ -86,94 +59,43 @@ var shared = New(DefaultCapacity)
 // generation runs.
 func Shared() *Cache { return shared }
 
-// AttachDisk installs a durable second tier and its codec: from now on
-// misses fall through to disk (decoded hits are promoted into memory)
-// and persistable Puts are written through. Attaching replaces any
-// previous tier; DetachDisk removes it. The in-memory contents are
-// untouched either way.
-func (c *Cache) AttachDisk(d DiskTier, codec Codec) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.disk, c.codec = d, codec
-	c.mu.Unlock()
-}
-
-// DetachDisk removes the durable tier (tests, shutdown).
-func (c *Cache) DetachDisk() { c.AttachDisk(nil, nil) }
-
 // Get returns the value stored under key, marking it most recently used.
-// With a disk tier attached, a memory miss consults the tier and
-// promotes a decoded hit.
 func (c *Cache) Get(key string) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	if ok {
-		c.hits++
-		c.order.MoveToFront(el)
-		val := el.Value.(*entry).val
-		c.mu.Unlock()
-		return val, true
-	}
-	c.misses++
-	disk, codec := c.disk, c.codec
-	c.mu.Unlock()
-	if disk == nil || codec == nil {
-		return nil, false
-	}
-	// The tier read happens outside the lock — it may fsync-era-slow —
-	// and the promote below re-takes it. Two goroutines racing the same
-	// key promote the same immutable value twice, harmlessly.
-	data, ok := disk.Get(key)
 	if !ok {
+		c.misses++
 		return nil, false
 	}
-	val, ok := codec.Decode(data)
-	if !ok {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.diskHits++
-	c.mu.Unlock()
-	c.put(key, val, false)
-	return val, true
+	c.hits++
+	c.order.MoveToFront(el)
+	return el.Value.(*entry).val, true
 }
 
 // Put stores val under key, evicting the least recently used entry when
 // the cache is full. Values must be treated as immutable by both sides:
-// callers deep-copy anything they intend to mutate. With a disk tier
-// attached, persistable values are written through.
-func (c *Cache) Put(key string, val any) { c.put(key, val, true) }
-
-func (c *Cache) put(key string, val any, writeThrough bool) {
+// callers deep-copy anything they intend to mutate.
+func (c *Cache) Put(key string, val any) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	disk, codec := c.disk, c.codec
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*entry).val = val
 		c.order.MoveToFront(el)
-	} else {
-		c.entries[key] = c.order.PushFront(&entry{key: key, val: val})
-		for c.order.Len() > c.cap {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*entry).key)
-			c.evictions++
-		}
+		return
 	}
-	c.mu.Unlock()
-	if writeThrough && disk != nil && codec != nil {
-		// Outside the lock: a durable tier fsyncs, and the engine's hot
-		// paths must not serialise on that.
-		if data, ok := codec.Encode(val); ok {
-			disk.Put(key, data)
-		}
+	c.entries[key] = c.order.PushFront(&entry{key: key, val: val})
+	for c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*entry).key)
+		c.evictions++
 	}
 }
 
@@ -199,11 +121,9 @@ func (c *Cache) Stats() (hits, misses uint64) {
 
 // CacheStats is a consistent counter snapshot of a cache: cumulative
 // hits, misses and LRU evictions since the last Reset, plus the live
-// entry count. DiskHits counts memory misses served by the durable tier
-// (every disk hit is also counted as a memory miss).
+// entry count.
 type CacheStats struct {
 	Hits, Misses, Evictions uint64
-	DiskHits                uint64
 	Entries                 int
 }
 
@@ -216,12 +136,11 @@ func (c *Cache) Snapshot() CacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, DiskHits: c.diskHits, Entries: c.order.Len()}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.order.Len()}
 }
 
-// Reset drops every in-memory entry and zeroes the hit/miss counters
-// (cold-cache measurements, tests). An attached disk tier is left both
-// attached and populated: Reset empties memory, not the durable layer.
+// Reset drops every entry and zeroes the hit, miss and eviction counters
+// (cold-cache measurements, tests).
 func (c *Cache) Reset() {
 	if c == nil {
 		return
@@ -230,7 +149,7 @@ func (c *Cache) Reset() {
 	defer c.mu.Unlock()
 	c.order.Init()
 	c.entries = map[string]*list.Element{}
-	c.hits, c.misses, c.evictions, c.diskHits = 0, 0, 0, 0
+	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
 // Fingerprinter accumulates canonical content into a collision-resistant

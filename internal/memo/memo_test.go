@@ -150,121 +150,6 @@ func TestConcurrentEvictionAndReset(t *testing.T) {
 	}
 }
 
-// fakeTier is an in-memory memo.DiskTier for tier-behaviour tests.
-type fakeTier struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	puts int
-}
-
-func (f *fakeTier) Get(key string) ([]byte, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v, ok := f.m[key]
-	return v, ok
-}
-
-func (f *fakeTier) Put(key string, data []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.m == nil {
-		f.m = map[string][]byte{}
-	}
-	f.m[key] = append([]byte(nil), data...)
-	f.puts++
-}
-
-// intCodec persists int values only (everything else stays memory-only).
-type intCodec struct{}
-
-func (intCodec) Encode(val any) ([]byte, bool) {
-	if v, ok := val.(int); ok {
-		return []byte(fmt.Sprintf("%d", v)), true
-	}
-	return nil, false
-}
-
-func (intCodec) Decode(data []byte) (any, bool) {
-	var v int
-	if _, err := fmt.Sscanf(string(data), "%d", &v); err != nil {
-		return nil, false
-	}
-	return v, true
-}
-
-func TestDiskTierWriteThroughAndPromote(t *testing.T) {
-	tier := &fakeTier{}
-	c := New(2)
-	c.AttachDisk(tier, intCodec{})
-
-	c.Put("a", 1)     // persistable: written through
-	c.Put("b", "str") // not persistable: memory only
-	if tier.puts != 1 {
-		t.Fatalf("tier puts = %d, want 1", tier.puts)
-	}
-	// Evict "a" from memory; the tier must serve and re-promote it.
-	c.Put("c", 3)
-	c.Put("d", 4)
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
-		t.Fatalf("evicted entry not served from tier: %v, %v", v, ok)
-	}
-	if s := c.Snapshot(); s.DiskHits != 1 {
-		t.Fatalf("DiskHits = %d, want 1", s.DiskHits)
-	}
-	// Promotion back into memory must not have re-written the tier.
-	if tier.puts != 3 {
-		t.Fatalf("tier puts after promote = %d, want 3 (a, c, d)", tier.puts)
-	}
-	// Reset clears memory only; the tier still restores the entry.
-	c.Reset()
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
-		t.Fatalf("tier lost entry across Reset: %v, %v", v, ok)
-	}
-	// A second cache over the same tier sees the entries: the restart story.
-	c2 := New(8)
-	c2.AttachDisk(tier, intCodec{})
-	if v, ok := c2.Get("d"); !ok || v.(int) != 4 {
-		t.Fatalf("fresh cache over same tier missed: %v, %v", v, ok)
-	}
-	if _, ok := c2.Get("b"); ok {
-		t.Fatal("non-persistable value crossed the tier")
-	}
-	c.DetachDisk()
-	c.Reset()
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("detached tier still serving")
-	}
-}
-
-// TestDiskTierConcurrentAttach races attach/detach against traffic (the
-// server attaches the store tier at startup while requests may already
-// be running in tests).
-func TestDiskTierConcurrentAttach(t *testing.T) {
-	tier := &fakeTier{}
-	c := New(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				k := fmt.Sprintf("k%d", i%12)
-				c.Put(k, i)
-				c.Get(k)
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			c.AttachDisk(tier, intCodec{})
-			c.DetachDisk()
-		}
-	}()
-	wg.Wait()
-}
-
 // TestFingerprinterFraming checks that the length-prefixed framing
 // prevents concatenation aliasing and that namespaces separate key spaces.
 func TestFingerprinterFraming(t *testing.T) {

@@ -16,14 +16,12 @@ import (
 
 	"marchgen"
 	"marchgen/internal/jobs"
-	"marchgen/internal/memo"
 	"marchgen/internal/store"
 )
 
 // newStoreServer builds a Server with a durable job store in a temp
-// directory. The shared memo cache gains a disk tier on New, so the
-// helper detaches it (and resets the cache) on cleanup to keep tests
-// independent.
+// directory. The helper resets the shared memo cache on cleanup to keep
+// tests independent.
 func newStoreServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
@@ -41,7 +39,6 @@ func newStoreServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *store
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = s.Drain(ctx)
-		memo.Shared().DetachDisk()
 		marchgen.ResetCache()
 	})
 	return s, ts, st
@@ -117,13 +114,17 @@ func TestJobsLifecycleEndpoint(t *testing.T) {
 		t.Fatalf("generate job result %+v, want 4n SAF test", res)
 	}
 
-	// Durable engine artifacts landed in the memo namespace.
-	memoKeys, err := st.List(jobs.NSMemo)
+	// The store keeps job records and results only: neither the job nor
+	// a synchronous generate writes the engine's memo to it.
+	if resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF,TF,ADF"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("generate status %d: %s", resp.StatusCode, raw)
+	}
+	memoKeys, err := st.List("memo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(memoKeys) == 0 {
-		t.Fatal("no memo entries persisted through the disk tier")
+	if len(memoKeys) != 0 {
+		t.Fatalf("store holds %d engine memo entries, want none", len(memoKeys))
 	}
 
 	// Idempotent resubmission: 200 (not 202), same id, served from the
@@ -410,7 +411,6 @@ func TestJobsRestartResume(t *testing.T) {
 	}
 	<-sA.sem
 	tsA.Close()
-	memo.Shared().DetachDisk()
 	marchgen.ResetCache()
 
 	// The durable record survived in a non-terminal state.
@@ -451,7 +451,6 @@ func TestJobsRestartResume(t *testing.T) {
 	tsB := httptest.NewServer(sB.Handler())
 	t.Cleanup(func() {
 		tsB.Close()
-		memo.Shared().DetachDisk()
 		marchgen.ResetCache()
 	})
 	if sB.RecoveredJobs() != 1 {

@@ -40,9 +40,7 @@ import (
 	"time"
 
 	"marchgen"
-	"marchgen/internal/core"
 	"marchgen/internal/jobs"
-	"marchgen/internal/memo"
 	"marchgen/internal/obs"
 	"marchgen/internal/simd"
 	"marchgen/internal/store"
@@ -82,10 +80,10 @@ type Config struct {
 	// -metrics flags so a drained server leaves a complete trace behind.
 	Obs *obs.Run
 	// Store, when non-nil, enables the async job API (/v1/jobs): job
-	// records and results persist here, the shared memo cache gains a
-	// durable tier over it (so checkpointed engine artifacts survive
-	// restarts), and New re-adopts any job a previous process left
-	// unfinished. Nil disables the job endpoints with 503 jobs_disabled.
+	// records and results persist here, and New re-adopts any job a
+	// previous process left unfinished. The engine's memo cache stays in
+	// process memory either way. Nil disables the job endpoints with 503
+	// jobs_disabled.
 	Store *store.Store
 }
 
@@ -164,10 +162,6 @@ func New(cfg Config) *Server {
 	s.group = newGroup(s.run)
 	if cfg.Store != nil {
 		s.store = cfg.Store
-		// The durable memo tier makes the engine's checkpointed artifacts
-		// (tour fragments, verdicts) survive process death — the substrate
-		// resumed jobs rebuild from.
-		memo.Shared().AttachDisk(jobs.MemoTier(cfg.Store), core.Codec())
 		mgr, err := jobs.NewManager(jobs.Config{
 			Store: cfg.Store,
 			Exec:  s.executeJob,
@@ -379,7 +373,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	extra["memo.shared.hits"] = int64(ci.Hits)
 	extra["memo.shared.misses"] = int64(ci.Misses)
 	extra["memo.shared.evictions"] = int64(ci.Evictions)
-	extra["memo.shared.disk_hits"] = int64(ci.DiskHits)
 	extra["memo.shared.entries"] = int64(ci.Entries)
 	kt := simd.ReadTelemetry()
 	extra["simd.lane_steps"] = int64(kt.LaneSteps)

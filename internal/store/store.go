@@ -1,16 +1,15 @@
 // Package store is the durable content-addressed store behind the async
-// job subsystem: job records, finished results and persistable memo
-// entries land here and survive process death. The write discipline is
-// the classic crash-safe sequence — write to a temp file in the target
-// directory, fsync the data, atomically rename into place, fsync the
-// directory — so a reader can never observe a torn value: a key either
-// resolves to complete bytes or does not exist. A crash mid-write leaves
-// only a temp file behind, which Open sweeps away.
+// job subsystem: job records and finished results land here and survive
+// process death. The write discipline is the classic crash-safe sequence
+// — write to a temp file in the target directory, fsync the data,
+// atomically rename into place, fsync the directory — so a reader can
+// never observe a torn value: a key either resolves to complete bytes or
+// does not exist. A crash mid-write leaves only a temp file behind, which
+// Open sweeps away.
 //
-// Keys live in flat namespaces ("jobs", "results", "memo"); values are
-// immutable byte slices, typically keyed by the content hashes of
-// internal/memo, which is what makes a repeated submission a cache hit
-// and a resumed job byte-identical.
+// Keys live in flat namespaces ("jobs", "results"); values are immutable
+// byte slices, typically keyed by the content hashes of internal/memo,
+// which is what makes a repeated submission a cache hit.
 //
 // Every write passes the internal/chaos failpoints (fsync error, torn
 // write, rename failure, slow disk), so the fault-injection harness can
